@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 check: full build + test suite, then the fault-tolerance,
+# Tier-1 check: full build + test suite (once, then three repeats in
+# parallel to flush out order-dependent collisions), then the fault-tolerance,
 # memory/spill, observability and vectorized/columnar tests again under
 # AddressSanitizer/UBSan (retry, cancellation, reservation accounting,
 # spill-file cleanup, concurrent span/counter updates, and selection-vector
@@ -15,9 +16,14 @@ cd "$(dirname "$0")/.."
 cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure -j "$(nproc)")
+# Repeat-parallel lane: tier-1 three more times under ctest -j, stopping at
+# the first failure. Every TEST runs as its own process, so tests that share
+# state (a fixed temp-file name, a process-global hook) only collide when
+# ctest happens to schedule them together — one clean pass proves little.
+(cd build && ctest --output-on-failure -j "$(nproc)" --repeat until-fail:3)
 
 cmake -B build-sanitize -S . -DSSQL_SANITIZE=address >/dev/null
-cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder >/dev/null
+cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_datasources >/dev/null
 ./build-sanitize/tests/test_fault_tolerance
 ./build-sanitize/tests/test_memory
 ./build-sanitize/tests/test_observability
@@ -32,6 +38,10 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 ./build-sanitize/tests/test_vectorized
 ./build-sanitize/tests/test_columnar
 ./build-sanitize/tests/test_property_end_to_end
+# Data sources under ASan: colf scans decode row groups in place from the
+# file buffer (payload views, bounds-checked headers), and the truncated-
+# and deleted-file cases take those bounds checks' error paths.
+./build-sanitize/tests/test_datasources
 # Flight recorder under ASan: the journal's fixed-size slots and detail
 # truncation are raw-buffer surface; bundle writing walks directories.
 ./build-sanitize/tests/test_flight_recorder

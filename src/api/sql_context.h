@@ -187,7 +187,7 @@ class SqlContext {
  private:
   friend class DataFrame;
 
-  /// Replaces cached subtrees with InMemoryRelation leaves.
+  /// Replaces cached subtrees with cache-backed LogicalRelation leaves.
   PlanPtr SubstituteCached(const PlanPtr& plan) const;
 
   /// Runs an ANALYZE TABLE statement: scans the table as a regular query,

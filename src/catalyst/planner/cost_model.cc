@@ -8,7 +8,6 @@
 #include "catalyst/expr/literal.h"
 #include "catalyst/expr/predicates.h"
 #include "columnar/column_vector.h"
-#include "exec/scan_exec.h"
 #include "util/string_util.h"
 
 namespace ssql {
@@ -57,9 +56,6 @@ std::optional<uint64_t> EstimateImpl(const PlanPtr& plan, bool selectivity) {
     uint64_t per_row = kDefaultRowWidthBytes +
                        8ull * std::max<size_t>(local->Output().size(), 1);
     return local->rows().size() * per_row;
-  }
-  if (const auto* mem = AsPlan<InMemoryRelation>(plan)) {
-    return mem->table()->MemoryBytes();
   }
   if (const auto* limit = AsPlan<Limit>(plan)) {
     uint64_t capped = static_cast<uint64_t>(limit->n()) * kDefaultRowWidthBytes;
@@ -442,10 +438,6 @@ RowEstimate EstimateRows(const PlanPtr& plan, const RowEstimateContext& ctx) {
   }
   if (const auto* local = AsPlan<LocalRelation>(plan)) {
     return {static_cast<uint64_t>(local->rows().size()),
-            EstimateSource::kExact};
-  }
-  if (const auto* mem = AsPlan<InMemoryRelation>(plan)) {
-    return {static_cast<uint64_t>(mem->table()->num_rows()),
             EstimateSource::kExact};
   }
   if (const auto* limit = AsPlan<Limit>(plan)) {

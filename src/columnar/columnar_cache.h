@@ -7,10 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "columnar/batch_dataset.h"
 #include "columnar/encoding.h"
 #include "engine/dataset.h"
-#include "engine/exec_context.h"
 #include "types/schema.h"
 
 namespace ssql {
@@ -31,19 +29,10 @@ class CachedTable {
 
   /// Decodes the requested columns back into rows, one partition per chunk.
   /// `columns` are field ordinals; empty means "no columns" (rows carry
-  /// only their existence, for COUNT(*)). When `ctx` is provided, chunks
-  /// decode in parallel on the engine's worker pool.
-  RowDataset Scan(const std::vector<int>& columns,
-                  ExecContext* ctx = nullptr) const;
-
-  /// Batched form of Scan(): decodes the requested columns of each chunk
-  /// straight into ColumnVectors — no boxed rows at all — and exposes each
-  /// chunk as RowBatches of at most `batch_size` rows (zero-copy range
-  /// views over the decoded chunk columns). One partition per chunk, rows
-  /// in chunk order, so results match Scan() exactly. `columns` must be
-  /// non-empty (COUNT(*)-style no-column scans stay on the row path).
-  BatchDataset ScanBatches(const std::vector<int>& columns, size_t batch_size,
-                           ExecContext* ctx = nullptr) const;
+  /// only their existence, for COUNT(*)). Queries scan cached tables
+  /// through the data source API instead (the cache-backed relation in
+  /// api/sql_context.cc, on the shared ChunkScan kernel).
+  RowDataset Scan(const std::vector<int>& columns) const;
 
   /// Total compressed footprint in bytes.
   size_t MemoryBytes() const;

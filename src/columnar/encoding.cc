@@ -145,6 +145,57 @@ Value ReadBankValue(Reader* r, Bank bank, const DataTypePtr& type) {
   return Value::Null();
 }
 
+/// Reads one non-null value of `bank` and appends it unboxed, normalized as
+/// ReadBankValue + ColumnVector::Append would store it.
+void AppendBankValue(Reader* r, Bank bank, const DataType& type,
+                     ColumnVector* out) {
+  switch (bank) {
+    case Bank::kInt: {
+      int64_t v = r->I64();
+      switch (type.id()) {
+        case TypeId::kBoolean:
+          v = v != 0;
+          break;
+        case TypeId::kInt32:
+        case TypeId::kDate:
+          v = static_cast<int32_t>(v);
+          break;
+        default:
+          break;
+      }
+      out->AppendInt64(v);
+      break;
+    }
+    case Bank::kDouble:
+      out->AppendDouble(r->F64());
+      break;
+    case Bank::kString:
+      out->AppendString(r->Str());
+      break;
+    case Bank::kBoxed:
+      out->AppendNull();
+      break;
+  }
+}
+
+/// Appends a copy of `src`'s non-null slot `i` to `out` (same type).
+void AppendSlot(const ColumnVector& src, size_t i, Bank bank, ColumnVector* out) {
+  switch (bank) {
+    case Bank::kInt:
+      out->AppendInt64(src.GetInt64(i));
+      break;
+    case Bank::kDouble:
+      out->AppendDouble(src.GetDouble(i));
+      break;
+    case Bank::kString:
+      out->AppendString(src.GetString(i));
+      break;
+    case Bank::kBoxed:
+      out->Append(src.GetValue(i));
+      break;
+  }
+}
+
 /// Key used to compare/group values of one column cheaply.
 std::string RunKey(const ColumnVector& col, Bank bank, size_t i) {
   if (col.IsNull(i)) return std::string("\x01");
@@ -263,6 +314,14 @@ EncodedColumn EncodeColumn(const ColumnVector& column) {
 }
 
 ColumnVector DecodeColumn(const EncodedColumn& column) {
+  return DecodeColumn(
+      column,
+      std::string_view(reinterpret_cast<const char*>(column.data.data()),
+                       column.data.size()));
+}
+
+ColumnVector DecodeColumn(const EncodedColumn& column,
+                          std::string_view payload) {
   ColumnVector out(column.type);
   out.Reserve(column.num_rows);
   Bank bank = BankFor(*column.type);
@@ -272,12 +331,15 @@ ColumnVector DecodeColumn(const EncodedColumn& column) {
     return out;
   }
 
-  Reader r{column.data.data(), column.data.size()};
+  Reader r{reinterpret_cast<const uint8_t*>(payload.data()), payload.size()};
   switch (column.encoding) {
     case ColumnEncoding::kPlain: {
       for (uint32_t i = 0; i < column.num_rows; ++i) {
-        bool is_null = r.U8() != 0;
-        out.Append(is_null ? Value::Null() : ReadBankValue(&r, bank, column.type));
+        if (r.U8() != 0) {
+          out.AppendNull();
+        } else {
+          AppendBankValue(&r, bank, *column.type, &out);
+        }
       }
       break;
     }
@@ -285,23 +347,41 @@ ColumnVector DecodeColumn(const EncodedColumn& column) {
       uint32_t produced = 0;
       while (produced < column.num_rows) {
         uint32_t run = r.U32();
-        bool is_null = r.U8() != 0;
-        Value v = is_null ? Value::Null() : ReadBankValue(&r, bank, column.type);
-        for (uint32_t k = 0; k < run; ++k) out.Append(v);
+        if (run == 0 || run > column.num_rows - produced) {
+          throw IoError("corrupt columnar data (run of " + std::to_string(run) +
+                        " rows at row " + std::to_string(produced) + " of " +
+                        std::to_string(column.num_rows) + ")");
+        }
+        if (r.U8() != 0) {
+          for (uint32_t k = 0; k < run; ++k) out.AppendNull();
+        } else {
+          // Decode the run's value once, then replicate its bank slot.
+          size_t first = out.size();
+          AppendBankValue(&r, bank, *column.type, &out);
+          for (uint32_t k = 1; k < run; ++k) AppendSlot(out, first, bank, &out);
+        }
         produced += run;
       }
       break;
     }
     case ColumnEncoding::kDictionary: {
       uint32_t dict_size = r.U32();
-      std::vector<Value> dict;
-      dict.reserve(dict_size);
+      ColumnVector dict(column.type);
+      dict.Reserve(dict_size);
       for (uint32_t i = 0; i < dict_size; ++i) {
-        dict.push_back(ReadBankValue(&r, bank, column.type));
+        AppendBankValue(&r, bank, *column.type, &dict);
       }
       for (uint32_t i = 0; i < column.num_rows; ++i) {
         uint32_t code = r.U32();
-        out.Append(code == 0xFFFFFFFFu ? Value::Null() : dict[code]);
+        if (code == 0xFFFFFFFFu) {
+          out.AppendNull();
+        } else if (code >= dict_size) {
+          throw IoError("corrupt columnar data (dictionary code " +
+                        std::to_string(code) + " of " +
+                        std::to_string(dict_size) + ")");
+        } else {
+          AppendSlot(dict, code, bank, &out);
+        }
       }
       break;
     }
@@ -348,6 +428,15 @@ void SerializeColumn(const EncodedColumn& column, std::string* out) {
 
 EncodedColumn DeserializeColumn(const std::string& in, size_t* offset,
                                 const DataTypePtr& type) {
+  std::string_view payload;
+  EncodedColumn col = ReadColumnHeader(in, offset, type, &payload);
+  col.data.assign(payload.begin(), payload.end());
+  return col;
+}
+
+EncodedColumn ReadColumnHeader(std::string_view in, size_t* offset,
+                               const DataTypePtr& type,
+                               std::string_view* payload) {
   EncodedColumn col;
   col.type = type;
   Reader r{reinterpret_cast<const uint8_t*>(in.data()), in.size()};
@@ -364,9 +453,8 @@ EncodedColumn DeserializeColumn(const std::string& in, size_t* offset,
   col.max = read_stat();
   uint32_t len = r.U32();
   r.Need(len);
-  col.data.assign(r.p + r.pos, r.p + r.pos + len);
-  r.pos += len;
-  *offset = r.pos;
+  *payload = in.substr(r.pos, len);
+  *offset = r.pos + len;
   return col;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "columnar/column_vector.h"
@@ -47,6 +48,12 @@ EncodedColumn EncodeColumnAs(const ColumnVector& column, ColumnEncoding scheme);
 /// Decodes back to a ColumnVector; exact round-trip.
 ColumnVector DecodeColumn(const EncodedColumn& column);
 
+/// Decodes `column`'s scheme from a payload held outside it (`column.data`
+/// is ignored): the colf reader decodes straight from its file buffer.
+/// Bounds-checked; a short or corrupt payload throws IoError.
+ColumnVector DecodeColumn(const EncodedColumn& column,
+                          std::string_view payload);
+
 /// Forward declaration: FilterSpec lives in the datasources layer; the
 /// zone-map check is declared there (ColumnChunkMayMatch in
 /// datasources/data_source.h) to keep this layer below it.
@@ -56,6 +63,14 @@ ColumnVector DecodeColumn(const EncodedColumn& column);
 void SerializeColumn(const EncodedColumn& column, std::string* out);
 EncodedColumn DeserializeColumn(const std::string& in, size_t* offset,
                                 const DataTypePtr& type);
+
+/// Reads one serialized column's header (scheme, row count, zone map) at
+/// `*offset` and points `payload` at its encoded bytes inside `in` without
+/// copying them; advances `*offset` past the payload. The returned column's
+/// `data` stays empty. Bounds-checked like DeserializeColumn.
+EncodedColumn ReadColumnHeader(std::string_view in, size_t* offset,
+                               const DataTypePtr& type,
+                               std::string_view* payload);
 
 }  // namespace ssql
 

@@ -1,11 +1,12 @@
 #include "datasources/colf_format.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <sys/stat.h>
 
 #include "columnar/column_vector.h"
+#include "datasources/chunk_scan.h"
 #include "util/fault_points.h"
 #include "util/string_util.h"
 
@@ -46,23 +47,126 @@ std::string SchemaToString(const StructType& schema) {
   return out;
 }
 
-std::string ReadWholeFile(const std::string& path, const FaultPointSet& faults,
-                          const IoRetryPolicy& policy) {
-  std::string data;
-  RunWithIoRetry(policy, "read colf '" + path + "'", [&] {
-    faults.MaybeFail("source.open", path);
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) throw IoError("cannot open colf file: " + path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad() || buffer.fail()) {
-      // rdbuf() streaming swallows read errors; unchecked, a read failure
-      // here would scan a silently truncated byte buffer.
-      throw IoError("I/O error reading colf file: " + path);
-    }
-    data = buffer.str();
-  });
+/// Reads the whole file into one pre-sized buffer. Not retried here: each
+/// caller wraps its whole pass over the bytes in RunWithIoRetry.
+std::string ReadWholeFile(const std::string& path, const FaultPointSet& faults) {
+  faults.MaybeFail("source.open", path);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in.good()) throw IoError("cannot open colf file: " + path);
+  const std::streamoff size = in.tellg();
+  std::string data(size > 0 ? static_cast<size_t>(size) : 0, '\0');
+  in.seekg(0);
+  in.read(data.data(), static_cast<std::streamsize>(data.size()));
+  if (size < 0 || in.bad() || in.fail() ||
+      in.gcount() != static_cast<std::streamsize>(data.size())) {
+    // Unchecked, a failed or short read here would scan a silently
+    // truncated byte buffer.
+    throw IoError("I/O error reading colf file: " + path);
+  }
   return data;
+}
+
+/// Validates the magic and reads the schema string; leaves `*pos` after it.
+std::string ReadSchemaHeader(const std::string& data, const std::string& path,
+                             size_t* pos) {
+  if (data.size() < kMagicLen ||
+      std::memcmp(data.data(), kMagic, kMagicLen) != 0) {
+    throw IoError("not a colf file: " + path);
+  }
+  *pos = kMagicLen;
+  uint32_t len = GetU32(data, pos, path);
+  if (len > data.size() - *pos) {
+    throw IoError("truncated colf file: " + path +
+                  " (schema extends past end of file)");
+  }
+  std::string schema = data.substr(*pos, len);
+  *pos += len;
+  return schema;
+}
+
+/// The driver pass of a scan: the file read once, the header validated, and
+/// the row-group headers walked and zone-mapped. Surviving groups keep their
+/// parsed headers plus views of their payloads inside `file`; no payload is
+/// copied.
+struct RowGroups {
+  std::string file;
+  std::vector<std::vector<EncodedColumn>> headers;
+  std::vector<std::vector<std::string_view>> payloads;
+  std::vector<ColumnChunk> chunks;
+  int64_t rows_scanned = 0;
+  int64_t skipped = 0;
+};
+
+void ReadRowGroups(QueryContext& ctx, const std::string& path,
+                   const StructType& schema, const ChunkScan& kernel,
+                   RowGroups* out) {
+  const FaultPointSet& faults = ctx.fault_points();
+  // The whole pass is one retry body (state reset first, so attempts are
+  // idempotent): a transient open/read failure rereads the file.
+  RunWithIoRetry(ctx.io_retry_policy(), "read colf '" + path + "'", [&] {
+    *out = RowGroups();
+    out->file = ReadWholeFile(path, faults);
+    const std::string& data = out->file;
+    size_t pos = 0;
+    if (ReadSchemaHeader(data, path, &pos) != SchemaToString(schema)) {
+      throw IoError("colf file schema changed since it was opened: " + path);
+    }
+    uint32_t num_groups = GetU32(data, &pos, path);
+    for (uint32_t g = 0; g < num_groups; ++g) {
+      faults.MaybeFail("source.read", path);
+      uint32_t group_rows = GetU32(data, &pos, path);
+      std::vector<EncodedColumn> headers;
+      std::vector<std::string_view> payloads(schema.num_fields());
+      headers.reserve(schema.num_fields());
+      for (size_t c = 0; c < schema.num_fields(); ++c) {
+        try {
+          headers.push_back(ReadColumnHeader(data, &pos, schema.field(c).type,
+                                             &payloads[c]));
+        } catch (const IoError& e) {
+          throw IoError("truncated colf file: " + path + " (" + e.what() + ")");
+        }
+        if (headers.back().num_rows != group_rows) {
+          throw IoError("corrupt colf file: " + path + " (row group " +
+                        std::to_string(g) + " column " + std::to_string(c) +
+                        " has " + std::to_string(headers.back().num_rows) +
+                        " rows, group has " + std::to_string(group_rows) + ")");
+        }
+      }
+      if (!kernel.MayMatch(headers.data())) {
+        ++out->skipped;
+        continue;
+      }
+      out->rows_scanned += group_rows;
+      out->chunks.push_back({group_rows});
+      out->headers.push_back(std::move(headers));
+      out->payloads.push_back(std::move(payloads));
+    }
+  });
+  for (size_t g = 0; g < out->chunks.size(); ++g) {
+    out->chunks[g].columns = out->headers[g].data();
+    out->chunks[g].payloads = out->payloads[g].data();
+  }
+}
+
+/// Runs a scan: the driver pass, then `scan(kernel, chunks, bounds)` over
+/// min(surviving groups, default_parallelism) contiguous partitions (at
+/// least one), then the source counters.
+template <typename Dataset, typename ScanFn>
+Dataset ScanColf(QueryContext& ctx, const std::string& path,
+                 const StructType& schema, const std::vector<int>& columns,
+                 const std::vector<FilterSpec>& filters, const ScanFn& scan) {
+  ChunkScan kernel(schema, columns, filters, "colf");
+  RowGroups groups;
+  ReadRowGroups(ctx, path, schema, kernel, &groups);
+  size_t parts = std::max<size_t>(
+      1, std::min(groups.chunks.size(), ctx.config().default_parallelism));
+  Dataset out =
+      scan(kernel, groups.chunks, SplitChunks(groups.chunks.size(), parts));
+  ctx.profile().Add(nullptr, ProfileCounter::kRowsScanned, groups.rows_scanned);
+  ctx.profile().Add(nullptr, ProfileCounter::kRowsReturned,
+                    static_cast<int64_t>(out.TotalRows()));
+  ctx.metrics().Add("colf.row_groups_skipped", groups.skipped);
+  return out;
 }
 
 }  // namespace
@@ -97,19 +201,13 @@ void WriteColfFile(const std::string& path, const SchemaPtr& schema,
 SchemaPtr ReadColfSchema(const std::string& path) {
   // Open()-time read: no query exists yet, so use the process-global fault
   // points and retry policy (see util/fault_points.h).
-  std::string data =
-      ReadWholeFile(path, *GlobalFaultPoints(), GlobalIoRetryPolicy());
-  if (data.size() < kMagicLen + 4 ||
-      std::memcmp(data.data(), kMagic, kMagicLen) != 0) {
-    throw IoError("not a colf file: " + path);
-  }
-  size_t pos = kMagicLen;
-  uint32_t len = GetU32(data, &pos, path);
-  if (pos + len > data.size()) {
-    throw IoError("truncated colf file: " + path +
-                  " (schema extends past end of file)");
-  }
-  return ParseSchemaString(data.substr(pos, len));
+  std::string schema;
+  RunWithIoRetry(GlobalIoRetryPolicy(), "read colf '" + path + "'", [&] {
+    std::string data = ReadWholeFile(path, *GlobalFaultPoints());
+    size_t pos = 0;
+    schema = ReadSchemaHeader(data, path, &pos);
+  });
+  return ParseSchemaString(schema);
 }
 
 ColfRelation::ColfRelation(std::string path, SchemaPtr schema)
@@ -133,94 +231,30 @@ std::optional<uint64_t> ColfRelation::EstimatedSizeBytes() const {
 std::vector<Row> ColfRelation::ScanFiltered(
     QueryContext& ctx, const std::vector<int>& columns,
     const std::vector<FilterSpec>& filters) const {
-  const FaultPointSet& faults = ctx.fault_points();
-  std::string data = ReadWholeFile(path_, faults, ctx.io_retry_policy());
-  if (data.size() < kMagicLen ||
-      std::memcmp(data.data(), kMagic, kMagicLen) != 0) {
-    throw IoError("not a colf file: " + path_);
-  }
-  size_t pos = kMagicLen;
-  uint32_t schema_len = GetU32(data, &pos, path_);
-  if (pos + schema_len > data.size()) {
-    throw IoError("truncated colf file: " + path_ +
-                  " (schema extends past end of file)");
-  }
-  pos += schema_len;
-  uint32_t num_groups = GetU32(data, &pos, path_);
+  return ScanPartitions(ctx, columns, filters).Collect();
+}
 
-  // Map filter column names to ordinals once.
-  struct BoundFilter {
-    int column;
-    const FilterSpec* spec;
-  };
-  std::vector<BoundFilter> bound;
-  bound.reserve(filters.size());
-  for (const auto& f : filters) {
-    int idx = schema_->FieldIndex(f.column);
-    if (idx < 0) throw ExecutionError("colf: unknown filter column " + f.column);
-    bound.push_back({idx, &f});
-  }
+RowDataset ColfRelation::ScanPartitions(
+    QueryContext& ctx, const std::vector<int>& columns,
+    const std::vector<FilterSpec>& filters) const {
+  return ScanColf<RowDataset>(
+      ctx, path_, *schema_, columns, filters,
+      [&](const ChunkScan& kernel, const std::vector<ColumnChunk>& chunks,
+          const std::vector<size_t>& bounds) {
+        return kernel.ScanRows(ctx, chunks, bounds);
+      });
+}
 
-  std::vector<Row> out;
-  int64_t groups_skipped = 0;
-  int64_t rows_scanned = 0;
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    faults.MaybeFail("source.read", path_);
-    uint32_t group_rows = GetU32(data, &pos, path_);
-    // Deserialize all column headers/payloads of this group (cheap: the
-    // payload bytes are only decoded on demand below).
-    std::vector<EncodedColumn> cols;
-    cols.reserve(schema_->num_fields());
-    for (size_t c = 0; c < schema_->num_fields(); ++c) {
-      cols.push_back(DeserializeColumn(data, &pos, schema_->field(c).type));
-    }
-    // Zone-map pruning.
-    bool may_match = true;
-    for (const auto& bf : bound) {
-      if (!ColumnChunkMayMatch(cols[bf.column], *bf.spec)) {
-        may_match = false;
-        break;
-      }
-    }
-    if (!may_match) {
-      ++groups_skipped;
-      continue;
-    }
-    rows_scanned += group_rows;
-    // Decode filter columns + requested columns.
-    std::vector<ColumnVector> decoded;
-    std::vector<int> decoded_ordinal(schema_->num_fields(), -1);
-    auto ensure_decoded = [&](int c) {
-      if (decoded_ordinal[c] >= 0) return;
-      decoded_ordinal[c] = static_cast<int>(decoded.size());
-      decoded.push_back(DecodeColumn(cols[c]));
-    };
-    for (const auto& bf : bound) ensure_decoded(bf.column);
-    for (int c : columns) ensure_decoded(c);
-
-    for (uint32_t r = 0; r < group_rows; ++r) {
-      bool keep = true;
-      for (const auto& bf : bound) {
-        const ColumnVector& cv = decoded[decoded_ordinal[bf.column]];
-        if (!bf.spec->Matches(cv.GetValue(r))) {
-          keep = false;
-          break;
-        }
-      }
-      if (!keep) continue;
-      Row row;
-      row.Reserve(columns.size());
-      for (int c : columns) {
-        row.Append(decoded[decoded_ordinal[c]].GetValue(r));
-      }
-      out.push_back(std::move(row));
-    }
-  }
-  ctx.profile().Add(nullptr, ProfileCounter::kRowsScanned, rows_scanned);
-  ctx.profile().Add(nullptr, ProfileCounter::kRowsReturned,
-                    static_cast<int64_t>(out.size()));
-  ctx.metrics().Add("colf.row_groups_skipped", groups_skipped);
-  return out;
+BatchDataset ColfRelation::ScanBatches(QueryContext& ctx,
+                                       const std::vector<int>& columns,
+                                       const std::vector<FilterSpec>& filters,
+                                       size_t batch_size) const {
+  return ScanColf<BatchDataset>(
+      ctx, path_, *schema_, columns, filters,
+      [&](const ChunkScan& kernel, const std::vector<ColumnChunk>& chunks,
+          const std::vector<size_t>& bounds) {
+        return kernel.ScanBatches(ctx, chunks, bounds, batch_size);
+      });
 }
 
 void RegisterColfSource(DataSourceRegistry& registry) {

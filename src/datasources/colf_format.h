@@ -20,10 +20,19 @@ namespace ssql {
 ///   per row group: u32 row count, then one serialized EncodedColumn per
 ///   field (dictionary/RLE/plain chosen per chunk, with min/max zone maps)
 ///
-/// Scans prune columns (only requested columns are decoded) and use the
-/// zone maps to skip whole row groups that cannot match the pushed
-/// filters; surviving rows are then filtered exactly.
-class ColfRelation : public BaseRelation, public PrunedFilteredScan {
+/// Scans are natively columnar and parallel. One driver pass reads the
+/// file, validates the header, walks the row-group headers and applies the
+/// zone maps to skip whole groups that cannot match the pushed filters —
+/// copying no column payload. The surviving groups are then split into
+/// contiguous partitions, one speculatable "scan" task each, and decoded by
+/// the shared ChunkScan kernel (datasources/chunk_scan.h): only the filter
+/// and requested columns, decoded in place from the file buffer, filters
+/// evaluated exactly into a selection vector. Batch consumers get RowBatch
+/// windows; row consumers get boxed rows with the same partitioning.
+class ColfRelation : public BaseRelation,
+                     public PrunedFilteredScan,
+                     public PartitionedScan,
+                     public BatchedScan {
  public:
   ColfRelation(std::string path, SchemaPtr schema);
 
@@ -36,6 +45,14 @@ class ColfRelation : public BaseRelation, public PrunedFilteredScan {
   std::vector<Row> ScanFiltered(
       QueryContext& ctx, const std::vector<int>& columns,
       const std::vector<FilterSpec>& filters) const override;
+
+  RowDataset ScanPartitions(
+      QueryContext& ctx, const std::vector<int>& columns,
+      const std::vector<FilterSpec>& filters) const override;
+
+  BatchDataset ScanBatches(QueryContext& ctx, const std::vector<int>& columns,
+                           const std::vector<FilterSpec>& filters,
+                           size_t batch_size) const override;
 
  private:
   std::string path_;

@@ -95,8 +95,9 @@ class PrunedFilteredScan {
 };
 
 /// Partition-preserving scan: returns the engine's partitioned dataset
-/// directly, avoiding a driver-side gather + re-partition. Used by
-/// in-memory sources (the columnar cache) where partitions already exist.
+/// directly, avoiding a driver-side gather + re-partition. Used by the
+/// columnar sources, whose chunks (cache chunks, colf row groups) decode
+/// in parallel straight into partitions.
 class PartitionedScan {
  public:
   virtual ~PartitionedScan() = default;
@@ -111,8 +112,10 @@ class PartitionedScan {
 /// scan ladder: the source returns decoded ColumnVector batches directly,
 /// never boxing a row at the scan boundary. `filters` must be evaluated
 /// exactly (via a selection vector, not by copying columns). Implemented
-/// by natively-columnar sources (the in-memory cache); the batched
-/// execution pipeline engages only over sources that provide it.
+/// by the natively columnar sources — the in-memory cache and colf files,
+/// both through the shared ChunkScan kernel (datasources/chunk_scan.h);
+/// the batched execution pipeline engages only over sources that provide
+/// it.
 class BatchedScan {
  public:
   virtual ~BatchedScan() = default;

@@ -178,15 +178,18 @@ void QueryContext::Finish(const std::string& status, ErrorCode code) {
                                          std::memory_order_acq_rel)) {
     return;
   }
-  profile_->Finish(status);
   if (!config_.trace_path.empty()) {
     // Surface flight-recorder loss on the timeline: a query whose events
-    // were overwritten before anyone read them gets an instant marker.
+    // were overwritten before anyone read them gets an instant marker,
+    // stamped before the query span closes so it lies inside it.
     const uint64_t journal_dropped = engine_.journal().dropped();
     if (journal_dropped > 0) {
       profile_->AddInstant("journal.dropped", "journal",
                            {{"dropped_total", std::to_string(journal_dropped)}});
     }
+  }
+  profile_->Finish(status);
+  if (!config_.trace_path.empty()) {
     const std::string path = ResolveTracePath(config_.trace_path, query_id_);
     try {
       engine_.fault_points().MaybeFail("trace.write", path);

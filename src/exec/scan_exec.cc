@@ -96,8 +96,8 @@ RowDataset DataSourceScanExec::ExecuteImpl(QueryContext& ctx) const {
     }
   }
 
-  // Partition-preserving fast path (in-memory columnar cache): the
-  // pre-partitioned dataset flows through untouched, filters applied
+  // Partition-preserving fast path (the columnar cache, colf files): the
+  // source's partitioned dataset flows through untouched, filters applied
   // exactly inside the source.
   if (all_translated) {
     if (const auto* partitioned =
@@ -199,16 +199,6 @@ std::string DataSourceScanExec::Describe() const {
     s += "]";
   }
   return s;
-}
-
-RowDataset CachedScanExec::ExecuteImpl(QueryContext& ctx) const {
-  ctx.metrics().Add("cache.scans", 1);
-  return table_->Scan(columns_, &ctx.engine());
-}
-
-BatchDataset CachedScanExec::ExecuteBatchesImpl(QueryContext& ctx) const {
-  ctx.metrics().Add("cache.scans", 1);
-  return table_->ScanBatches(columns_, ctx.config().batch_size, &ctx.engine());
 }
 
 ProjectFilterExec::ProjectFilterExec(std::vector<NamedExprPtr> projections,

@@ -16,6 +16,7 @@
 #include "datasources/csv_source.h"
 #include "datasources/data_source.h"
 #include "datasources/kvdb.h"
+#include "test_temp_path.h"
 
 namespace ssql {
 namespace {
@@ -89,7 +90,7 @@ TEST(FilterSpecTest, Matching) {
 class CsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/people.csv";
+    path_ = TestTempPath("people.csv");
     std::ofstream out(path_);
     out << "name,age,score,joined\n";
     out << "Alice,22,9.5,2014-03-01\n";
@@ -139,7 +140,7 @@ TEST_F(CsvTest, WriteReadRoundTrip) {
                                   Field("b", DataType::String(), true)});
   std::vector<Row> rows = {Row({Value(int64_t{1}), Value("x")}),
                            Row({Value::Null(), Value("y")})};
-  std::string path = ::testing::TempDir() + "/roundtrip.csv";
+  std::string path = TestTempPath("roundtrip.csv");
   CsvRelation::Write(path, schema, rows);
   SqlContext ctx;
   auto read =
@@ -170,7 +171,7 @@ class ColfTest : public ::testing::Test {
                            Value(std::string(i % 2 == 0 ? "even" : "odd")),
                            Value(i / 10.0)}));
     }
-    path_ = ::testing::TempDir() + "/data.colf";
+    path_ = TestTempPath("data.colf");
     WriteColfFile(path_, schema_, rows_, /*row_group_size=*/100);
   }
 
@@ -232,7 +233,7 @@ TEST_F(ColfTest, NullsSurviveRoundTrip) {
       Row({Value(int64_t{1}), Value::Null(), Value(0.5)}),
       Row({Value(int64_t{2}), Value("x"), Value::Null()}),
   };
-  std::string path = ::testing::TempDir() + "/nulls.colf";
+  std::string path = TestTempPath("nulls.colf");
   WriteColfFile(path, schema_, with_nulls, 10);
   SqlContext ctx;
   auto read = ctx.ReadColf(path).Collect();
@@ -362,7 +363,7 @@ const char* kAllModes[] = {"PERMISSIVE", "DROPMALFORMED", "FAILFAST"};
 TEST(CsvIoFailureTest, FileDeletedMidScanThrowsIoErrorUnderAllModes) {
   for (const char* mode : kAllModes) {
     SCOPED_TRACE(mode);
-    std::string path = ::testing::TempDir() + "/doomed.csv";
+    std::string path = TestTempPath("doomed.csv");
     {
       std::ofstream out(path);
       out << "1,2\n3,4\n";
@@ -382,7 +383,7 @@ TEST(CsvIoFailureTest, FileDeletedMidScanThrowsIoErrorUnderAllModes) {
 TEST(CsvIoFailureTest, TruncatedLastRecordFollowsParseMode) {
   // A file cut off mid-record leaves a short last line. That is a malformed
   // record, so here — and only here — the parse mode decides.
-  std::string path = ::testing::TempDir() + "/cutoff.csv";
+  std::string path = TestTempPath("cutoff.csv");
   {
     std::ofstream out(path);
     out << "1,2\n3,4\n5";  // truncated mid-record: second field missing
@@ -416,7 +417,7 @@ TEST(JsonIoFailureTest, FileDeletedBeforeOpenThrowsIoErrorUnderAllModes) {
   // so the vanished-file case surfaces from Read() itself.
   for (const char* mode : kAllModes) {
     SCOPED_TRACE(mode);
-    std::string path = ::testing::TempDir() + "/gone.json";
+    std::string path = TestTempPath("gone.json");
     {
       std::ofstream out(path);
       out << "{\"a\": 1}\n";
@@ -428,7 +429,7 @@ TEST(JsonIoFailureTest, FileDeletedBeforeOpenThrowsIoErrorUnderAllModes) {
 }
 
 TEST(JsonIoFailureTest, TruncatedLastRecordFollowsParseMode) {
-  std::string path = ::testing::TempDir() + "/cutoff.json";
+  std::string path = TestTempPath("cutoff.json");
   {
     std::ofstream out(path);
     out << "{\"a\": 1}\n{\"a\": 2}\n{\"a\":";  // cut off mid-record
@@ -462,7 +463,7 @@ class ColfIoFailureTest : public ::testing::Test {
     for (int i = 0; i < 300; ++i) {
       rows.push_back(Row({Value(int64_t(i)), Value("tag_" + std::to_string(i))}));
     }
-    path_ = ::testing::TempDir() + "/fragile.colf";
+    path_ = TestTempPath("fragile.colf");
     WriteColfFile(path_, schema_, rows, /*row_group_size=*/50);
   }
   void TearDown() override { std::filesystem::remove(path_); }
@@ -510,16 +511,75 @@ TEST_F(ColfIoFailureTest, TruncatedSchemaThrowsIoError) {
   EXPECT_THROW(ReadColfSchema(path_), IoError);
 }
 
+// The same failure contract through the batched pipeline: a filtered
+// projection over colf plans its Scan [batched] (the file is a natively
+// columnar root), so these failures surface through the batch scan.
+constexpr char kBatchedProjection[] =
+    "SELECT id * 2 AS twice, tag FROM fragile WHERE id >= 120";
+
+void RegisterBatched(SqlContext& ctx, const std::string& path) {
+  ctx.ReadColf(path).RegisterTempTable("fragile");
+  std::string plan = ctx.Sql(kBatchedProjection).Explain(true);
+  size_t scan = plan.find("Scan colf:");
+  ASSERT_NE(scan, std::string::npos) << plan;
+  ASSERT_NE(plan.substr(scan, plan.find('\n', scan) - scan).find("[batched]"),
+            std::string::npos)
+      << plan;
+}
+
+TEST_F(ColfIoFailureTest, BatchedScanOfTruncatedFileThrowsIoError) {
+  SqlContext ctx;
+  RegisterBatched(ctx, path_);
+  std::filesystem::resize_file(path_, std::filesystem::file_size(path_) / 2);
+  try {
+    ctx.Sql(kBatchedProjection).Collect();
+    FAIL() << "truncated colf scan must not return rows";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ColfIoFailureTest, BatchedScanOfDeletedFileThrowsIoError) {
+  SqlContext ctx;
+  RegisterBatched(ctx, path_);
+  std::filesystem::remove(path_);
+  EXPECT_THROW(ctx.Sql(kBatchedProjection).Collect(), IoError);
+}
+
+TEST_F(ColfIoFailureTest, BatchedScanHealsRetryableReadFault) {
+  std::vector<std::string> expected;
+  {
+    SqlContext clean;
+    RegisterBatched(clean, path_);
+    for (const Row& r : clean.Sql(kBatchedProjection).Collect()) {
+      expected.push_back(r.ToString());
+    }
+  }
+  ASSERT_EQ(expected.size(), 180u);
+  // The third row-group read of the scan fails once; the I/O retry rereads
+  // the file and the query must still return exactly the clean rows.
+  EngineConfig config;
+  config.fault_injection_spec = "source.read=n3:retryable";
+  SqlContext ctx(config);
+  RegisterBatched(ctx, path_);
+  std::vector<std::string> got;
+  for (const Row& r : ctx.Sql(kBatchedProjection).Collect()) {
+    got.push_back(r.ToString());
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_GE(ctx.exec().metrics().Get("io.retries"), 1);
+}
+
 // ---------------------------------------------------------------------------
 // EstimatedSizeBytes (the broadcast-join and ANALYZE TABLE size input)
 // ---------------------------------------------------------------------------
 
 TEST(EstimatedSizeTest, FileSourcesReportFileSizeAndNulloptWhenGone) {
-  const std::string dir = ::testing::TempDir();
   // csv / json: one file each, estimate == exact on-disk size.
-  const std::string csv = dir + "/est.csv";
+  const std::string csv = TestTempPath("est.csv");
   std::ofstream(csv) << "a,b\n1,x\n2,y\n";
-  const std::string json = dir + "/est.json";
+  const std::string json = TestTempPath("est.json");
   std::ofstream(json) << "{\"a\": 1}\n{\"a\": 2}\n";
 
   auto csv_rel = DataSourceRegistry::Global().CreateRelation(
@@ -535,7 +595,7 @@ TEST(EstimatedSizeTest, FileSourcesReportFileSizeAndNulloptWhenGone) {
             std::filesystem::file_size(json));
 
   // colf: written through the writer, same contract.
-  const std::string colf = dir + "/est.colf";
+  const std::string colf = TestTempPath("est.colf");
   auto schema = StructType::Make({Field("id", DataType::Int64(), false)});
   std::vector<Row> rows;
   for (int i = 0; i < 50; ++i) rows.push_back(Row({Value(int64_t{i})}));
@@ -557,7 +617,7 @@ TEST(EstimatedSizeTest, FileSourcesReportFileSizeAndNulloptWhenGone) {
 }
 
 TEST(EstimatedSizeTest, EmptyTableEstimatesHeaderOnly) {
-  const std::string csv = ::testing::TempDir() + "/est-empty.csv";
+  const std::string csv = TestTempPath("est-empty.csv");
   std::ofstream(csv) << "a,b\n";
   auto rel = DataSourceRegistry::Global().CreateRelation(
       "csv", {{"path", csv}});
@@ -592,7 +652,7 @@ TEST(EstimatedSizeTest, CachedTableReportsMemoryBytes) {
   // The in-memory cache source reports its compressed columnar footprint;
   // reachable through SqlContext::CachePlan.
   SqlContext ctx;
-  const std::string csv = ::testing::TempDir() + "/est-cache.csv";
+  const std::string csv = TestTempPath("est-cache.csv");
   std::ofstream out(csv);
   out << "a\n";
   for (int i = 0; i < 200; ++i) out << i << "\n";

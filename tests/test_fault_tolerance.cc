@@ -25,6 +25,7 @@
 #include "util/fault_points.h"
 #include "util/spill_file.h"
 #include "util/thread_pool.h"
+#include "test_temp_path.h"
 
 namespace ssql {
 namespace {
@@ -363,7 +364,7 @@ TEST(CancellationTest, IntervalJoinProbeLoopPollsPerRow) {
 class CsvParseModeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/corrupt.csv";
+    path_ = TestTempPath("corrupt.csv");
     WriteFile(path_,
               "a,b\n"
               "1,2\n"
@@ -454,7 +455,7 @@ TEST_F(CsvParseModeTest, FluentReaderApi) {
 
 TEST(CsvParseModeErrorTest, UnknownModeRejected) {
   SqlContext ctx;
-  std::string path = ::testing::TempDir() + "/tiny.csv";
+  std::string path = TestTempPath("tiny.csv");
   WriteFile(path, "a\n1\n");
   EXPECT_THROW(ctx.ReadCsv(path, {{"mode", "SIDEWAYS"}}), IoError);
 }
@@ -464,7 +465,7 @@ TEST(CsvParseModeErrorTest, UnknownModeRejected) {
 class JsonParseModeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/corrupt.json";
+    path_ = TestTempPath("corrupt.json");
     WriteFile(path_,
               "{\"a\": 1, \"b\": \"x\"}\n"
               "{\"a\": 2, \"b\":\n"       // line 2: truncated object
@@ -513,7 +514,7 @@ TEST_F(JsonParseModeTest, DropMalformedSkipsCorruptRecords) {
 }
 
 TEST_F(JsonParseModeTest, WellFormedFileSkipsSalvagePass) {
-  std::string clean = ::testing::TempDir() + "/clean.json";
+  std::string clean = TestTempPath("clean.json");
   WriteFile(clean, "{\"a\": 1}\n{\"a\": 2}\n");
   DataFrame df = ctx_.ReadJson(clean, {{"mode", "PERMISSIVE"}});
   ctx_.exec().metrics().Reset();
@@ -949,7 +950,7 @@ TEST(FaultPointSetCorruptTest, CorruptRulesIgnoreOtherSites) {
 // ---- checksummed spills ----------------------------------------------------
 
 TEST(SpillCrcTest, RowsRoundTripThroughTheChecksummedFrames) {
-  std::string dir = ::testing::TempDir() + "/spill_crc_roundtrip";
+  std::string dir = TestTempPath("spill_crc_roundtrip");
   SpillFile file(dir, "rt");
   std::vector<Row> rows;
   rows.push_back(Row({Value("hello spill"), Value(int32_t(7)), Value()}));
@@ -972,7 +973,7 @@ TEST(SpillCrcTest, RowsRoundTripThroughTheChecksummedFrames) {
 TEST(SpillCrcTest, OnDiskBitRotSurfacesAsIoError) {
   // Flip one payload byte of the finished file behind SpillFile's back: the
   // reader must refuse the frame, never hand back silently wrong rows.
-  std::string dir = ::testing::TempDir() + "/spill_crc_rot";
+  std::string dir = TestTempPath("spill_crc_rot");
   SpillFile file(dir, "rot");
   file.Append(Row({Value("a row long enough to have a payload to damage"),
                    Value(int32_t(42))}));
@@ -1005,7 +1006,7 @@ TEST(SpillCrcTest, InjectedCorruptionTripsTheChecksum) {
   // The corrupt fault kind flips a bit of the in-memory frame after the read
   // but before verification — exercising the same detection path without
   // touching the file.
-  std::string dir = ::testing::TempDir() + "/spill_crc_inject";
+  std::string dir = TestTempPath("spill_crc_inject");
   FaultPointSet faults = FaultPointSet::Parse("spill.read=n2:corrupt,seed=9");
   SpillFile::Hooks hooks;
   hooks.faults = &faults;

@@ -9,6 +9,7 @@
 #include "api/sql_context.h"
 #include "datasources/json_parser.h"
 #include "datasources/schema_inference.h"
+#include "test_temp_path.h"
 
 namespace ssql {
 namespace {
@@ -170,7 +171,7 @@ TEST(SchemaInferenceTest, RowConversionPreservesStringRepresentation) {
 class JsonSourceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/tweets.json";
+    path_ = TestTempPath("tweets.json");
     std::ofstream out(path_);
     out << kTweets;
   }

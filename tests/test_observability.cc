@@ -373,30 +373,44 @@ TEST(TraceExportTest, TraceJsonParsesAndCoversAllStages) {
   ASSERT_EQ(events->kind, JsonValue::Kind::kArray);
   ASSERT_FALSE(events->elements.empty());
 
+  // Two event shapes are legal: complete spans (ph "X": ts + dur) and
+  // instant events (ph "i": a point in time, no dur) such as task retries,
+  // speculation outcomes and journal drops.
+  auto is_complete = [](const JsonValue& ev) {
+    return ev.Find("ph")->s == "X";
+  };
   int64_t query_ts = -1, query_end = -1;
   std::vector<std::string> names;
   for (const JsonValue& ev : events->elements) {
     ASSERT_EQ(ev.kind, JsonValue::Kind::kObject);
     const JsonValue* ph = ev.Find("ph");
     ASSERT_NE(ph, nullptr);
-    EXPECT_EQ(ph->s, "X");  // complete events: ts + dur
-    for (const char* key : {"name", "ts", "dur", "pid", "tid"}) {
-      EXPECT_NE(ev.Find(key), nullptr) << key;
+    ASSERT_TRUE(ph->s == "X" || ph->s == "i") << "unexpected ph " << ph->s;
+    for (const char* key : {"name", "ts", "pid", "tid"}) {
+      ASSERT_NE(ev.Find(key), nullptr) << key;
+    }
+    if (is_complete(ev)) {
+      ASSERT_NE(ev.Find("dur"), nullptr) << ev.Find("name")->s;
+    } else {
+      EXPECT_EQ(ev.Find("dur"), nullptr) << ev.Find("name")->s;
     }
     names.push_back(ev.Find("name")->s);
-    if (ev.Find("cat")->s == "query") {
+    const JsonValue* cat = ev.Find("cat");
+    if (is_complete(ev) && cat != nullptr && cat->s == "query") {
       query_ts = ev.Find("ts")->i;
       query_end = query_ts + ev.Find("dur")->i;
     }
   }
   ASSERT_GE(query_ts, 0) << "no query-level event";
 
-  // Every event fits inside the query event (1us slack: durations are
-  // clamped up to 1us so sub-microsecond spans can overhang slightly).
+  // Every span fits inside the query event and every instant falls within
+  // it (1us slack: durations are clamped up to 1us so sub-microsecond spans
+  // can overhang slightly).
   for (const JsonValue& ev : events->elements) {
     int64_t ts = ev.Find("ts")->i;
-    EXPECT_GE(ts, query_ts);
-    EXPECT_LE(ts + ev.Find("dur")->i, query_end + 1);
+    int64_t dur = is_complete(ev) ? ev.Find("dur")->i : 0;
+    EXPECT_GE(ts, query_ts) << ev.Find("name")->s;
+    EXPECT_LE(ts + dur, query_end + 1) << ev.Find("name")->s;
   }
 
   // The export covers Catalyst phases, operators, stages and tasks.

@@ -1,16 +1,20 @@
 // Vectorized execution tests: the planner's row/batch boundary stamp in
 // EXPLAIN, batched-vs-row result equivalence on the targeted pipeline
 // shapes (partial-aggregate fast path and its generic fallback, the
-// batched join probe), batch-size edge cases including batch_size=1, and
+// batched join probe), batch-size edge cases including batch_size=1, the
+// natively columnar colf scan against the row path and the cache, and
 // config knob validation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <random>
 
 #include "api/sql_context.h"
+#include "datasources/colf_format.h"
 #include "engine/exec_context.h"
+#include "test_temp_path.h"
 
 namespace ssql {
 namespace {
@@ -33,9 +37,8 @@ std::vector<std::string> Canonical(const std::vector<Row>& rows) {
 }
 
 /// Registers a mixed-type table (with nulls in every nullable column) and
-/// caches it, so queries plan over the natively-columnar
-/// InMemoryColumnarScan — the source shape that engages the batched
-/// pipeline.
+/// caches it, so queries plan over the natively columnar cache-backed Scan
+/// — a source shape that engages the batched pipeline.
 void SetupCachedTable(SqlContext& ctx, const std::string& name, size_t rows,
                       uint64_t seed = 11) {
   auto schema = StructType::Make({
@@ -76,6 +79,18 @@ void ExpectBatchedMatchesRows(const std::string& sql, size_t rows,
                   << ", batch_size=" << batch_size << ")";
 }
 
+/// Whether some line of `plan` naming `op` carries the [batched] stamp.
+bool StampedBatched(const std::string& plan, const std::string& op) {
+  for (size_t pos = plan.find(op); pos != std::string::npos;
+       pos = plan.find(op, pos + 1)) {
+    size_t eol = plan.find('\n', pos);
+    if (plan.substr(pos, eol - pos).find("[batched]") != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
 TEST(VectorizedPlanTest, ExplainStampsBatchedPipelineOverCache) {
   SqlContext ctx(BaseConfig(true));
   SetupCachedTable(ctx, "t", 100);
@@ -85,17 +100,8 @@ TEST(VectorizedPlanTest, ExplainStampsBatchedPipelineOverCache) {
   // the partial aggregate; the final aggregate sits above the shuffle and
   // stays row-based.
   for (const char* op : {"Scan cache:", "HashAggregate(Partial)"}) {
-    bool stamped = false;
-    size_t pos = plan.find(op);
-    while (pos != std::string::npos) {
-      size_t eol = plan.find('\n', pos);
-      if (plan.substr(pos, eol - pos).find("[batched]") !=
-          std::string::npos) {
-        stamped = true;
-      }
-      pos = plan.find(op, pos + 1);
-    }
-    EXPECT_TRUE(stamped) << op << " not stamped [batched] in:\n" << plan;
+    EXPECT_TRUE(StampedBatched(plan, op))
+        << op << " not stamped [batched] in:\n" << plan;
   }
   size_t fin = plan.find("HashAggregate(Final)");
   ASSERT_NE(fin, std::string::npos) << plan;
@@ -194,6 +200,193 @@ TEST(VectorizedExecTest, BatchSizeOneDegeneratesCorrectly) {
 
 TEST(VectorizedExecTest, MaximumBatchSizeAccepted) {
   ExpectBatchedMatchesRows("SELECT sum(v) FROM t", 100, 65536);
+}
+
+// ---- colf: the natively columnar file source -------------------------------
+
+/// The Figure 8 AMPLab tables, small, written as colf files with
+/// `row_group_size` rows per group. Rankings are written in pageRank order
+/// and uservisits in visitDate order, so the Q1 and Q3 filters let zone
+/// maps skip whole row groups; adRevenue carries nulls.
+class AmplabColfFiles {
+ public:
+  explicit AmplabColfFiles(size_t row_group_size) {
+    const std::string group = "g" + std::to_string(row_group_size);
+    rankings_ = TestTempPath(group + "-rankings.colf");
+    uservisits_ = TestTempPath(group + "-uservisits.colf");
+    std::mt19937_64 rng(7);
+    constexpr int kPages = 2000;
+    std::vector<int32_t> ranks(kPages);
+    for (auto& r : ranks) {
+      double u = std::uniform_real_distribution<>(0, 1)(rng);
+      r = static_cast<int32_t>(10000 * u * u * u);
+    }
+    std::sort(ranks.begin(), ranks.end());
+    std::vector<Row> rankings;
+    for (int i = 0; i < kPages; ++i) {
+      rankings.push_back(Row({Value("url" + std::to_string(i)), Value(ranks[i]),
+                              Value(static_cast<int32_t>(rng() % 100))}));
+    }
+    WriteColfFile(rankings_,
+                  StructType::Make({Field("pageURL", DataType::String(), false),
+                                    Field("pageRank", DataType::Int32(), false),
+                                    Field("avgDuration", DataType::Int32(),
+                                          false)}),
+                  rankings, row_group_size);
+
+    DateValue from, to;
+    ParseDate("1980-01-01", &from);
+    ParseDate("1990-01-01", &to);
+    std::vector<int32_t> days(4000);
+    for (auto& d : days) {
+      d = from.days + static_cast<int32_t>(rng() % (to.days - from.days));
+    }
+    std::sort(days.begin(), days.end());
+    std::vector<Row> visits;
+    for (int32_t d : days) {
+      std::string ip = std::to_string(rng() % 4) + "." +
+                       std::to_string(rng() % 16) + "." +
+                       std::to_string(rng() % 256) + "." +
+                       std::to_string(rng() % 256);
+      std::string url = "url" + std::to_string(rng() % kPages);
+      Value revenue =
+          rng() % 17 == 0
+              ? Value::Null()
+              : Value(std::uniform_real_distribution<>(0, 1000)(rng));
+      visits.push_back(
+          Row({Value(ip), Value(url), Value(DateValue{d}), revenue}));
+    }
+    WriteColfFile(
+        uservisits_,
+        StructType::Make({Field("sourceIP", DataType::String(), false),
+                          Field("destURL", DataType::String(), false),
+                          Field("visitDate", DataType::Date(), false),
+                          Field("adRevenue", DataType::Double(), true)}),
+        visits, row_group_size);
+  }
+  ~AmplabColfFiles() {
+    std::filesystem::remove(rankings_);
+    std::filesystem::remove(uservisits_);
+  }
+
+  /// Registers both tables in `ctx`, optionally cached.
+  void Register(SqlContext& ctx, bool cache) const {
+    DataFrame rankings = ctx.ReadColf(rankings_);
+    DataFrame visits = ctx.ReadColf(uservisits_);
+    rankings.RegisterTempTable("rankings");
+    visits.RegisterTempTable("uservisits");
+    if (cache) {
+      rankings.Cache();
+      visits.Cache();
+    }
+  }
+
+ private:
+  std::string rankings_;
+  std::string uservisits_;
+};
+
+/// The nine Figure 8 query shapes (Q1a-c scan/filter, Q2a-c group by a
+/// prefix, Q3a-c join + aggregate + top-1), parameters scaled to the data.
+std::vector<std::string> AmplabQueries() {
+  std::vector<std::string> out;
+  for (int cutoff : {9000, 1000, 10}) {
+    out.push_back("SELECT pageURL, pageRank FROM rankings WHERE pageRank > " +
+                  std::to_string(cutoff));
+  }
+  for (int prefix : {3, 6, 9}) {
+    const std::string p = std::to_string(prefix);
+    out.push_back("SELECT substr(sourceIP, 1, " + p +
+                  "), sum(adRevenue) FROM uservisits GROUP BY substr(sourceIP, "
+                  "1, " + p + ")");
+  }
+  for (const char* until : {"1980-04-01", "1983-01-01", "1990-01-01"}) {
+    out.push_back(
+        std::string("SELECT sourceIP, sum(adRevenue) AS totalRevenue, "
+                    "avg(pageRank) AS avgPageRank FROM rankings JOIN "
+                    "uservisits ON pageURL = destURL WHERE visitDate BETWEEN "
+                    "'1980-01-01' AND '") +
+        until + "' GROUP BY sourceIP ORDER BY totalRevenue DESC LIMIT 1");
+  }
+  return out;
+}
+
+/// The source counters one query leaves in the engine metrics.
+struct ScanCounters {
+  int64_t groups_skipped = 0;
+  int64_t rows_scanned = 0;
+  int64_t rows_returned = 0;
+  bool operator==(const ScanCounters&) const = default;
+};
+
+std::vector<std::string> RunCounted(SqlContext& ctx, const std::string& sql,
+                                    ScanCounters* counters) {
+  Metrics& metrics = ctx.exec().metrics();
+  metrics.Reset();
+  std::vector<std::string> rows = Canonical(ctx.Sql(sql).Collect());
+  counters->groups_skipped = metrics.Get("colf.row_groups_skipped");
+  counters->rows_scanned = metrics.Get("source.rows_scanned");
+  counters->rows_returned = metrics.Get("source.rows_returned");
+  return rows;
+}
+
+TEST(VectorizedColfTest, AmplabQueriesMatchRowPathAndCache) {
+  // Row groups smaller (100) and larger (1500) than batch_size 1024, and
+  // every group larger than batch_size 1.
+  for (size_t group : {100, 1500}) {
+    AmplabColfFiles files(group);
+    for (size_t batch : {1, 1024}) {
+      SqlContext batched(BaseConfig(true, batch));
+      SqlContext row_path(BaseConfig(false));
+      SqlContext cached(BaseConfig(true, batch));
+      files.Register(batched, false);
+      files.Register(row_path, false);
+      files.Register(cached, true);
+      int64_t skipped = 0;
+      for (const std::string& sql : AmplabQueries()) {
+        SCOPED_TRACE(sql + " (row_group_size=" + std::to_string(group) +
+                     ", batch_size=" + std::to_string(batch) + ")");
+        ScanCounters on, off;
+        auto a = RunCounted(batched, sql, &on);
+        auto b = RunCounted(row_path, sql, &off);
+        auto c = Canonical(cached.Sql(sql).Collect());
+        ASSERT_FALSE(a.empty());
+        EXPECT_EQ(a, b);
+        EXPECT_EQ(a, c);
+        EXPECT_EQ(on, off);
+        EXPECT_GT(on.rows_scanned, 0);
+        skipped += on.groups_skipped;
+      }
+      // Zone maps prune on both paths (the Q1a/Q3a filters are selective
+      // over the sorted columns).
+      EXPECT_GT(skipped, 0);
+    }
+  }
+}
+
+TEST(VectorizedColfTest, ExplainStampsColfScanBatched) {
+  AmplabColfFiles files(100);
+  const std::string q2 =
+      "SELECT substr(sourceIP, 1, 3), sum(adRevenue) FROM uservisits "
+      "GROUP BY substr(sourceIP, 1, 3)";
+  const std::string q3 = AmplabQueries().back();
+  {
+    // The colf Scan is a native root: the map-side aggregate of Q2 and the
+    // broadcast probe of Q3 pull its batches directly.
+    SqlContext ctx(BaseConfig(true));
+    files.Register(ctx, false);
+    for (const auto& [sql, parent] :
+         {std::pair{q2, "HashAggregate(Partial)"},
+          std::pair{q3, "BroadcastHashJoin"}}) {
+      std::string plan = ctx.Sql(sql).Explain(true);
+      EXPECT_TRUE(StampedBatched(plan, "Scan colf:")) << plan;
+      EXPECT_TRUE(StampedBatched(plan, parent)) << plan;
+    }
+  }
+  SqlContext off(BaseConfig(false));
+  files.Register(off, false);
+  std::string plan = off.Sql(q2).Explain(true);
+  EXPECT_EQ(plan.find("[batched]"), std::string::npos) << plan;
 }
 
 TEST(VectorizedConfigTest, KnobsAreValidated) {

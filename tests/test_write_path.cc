@@ -11,6 +11,7 @@
 #include "datasources/data_source.h"
 #include "datasources/kvdb.h"
 #include "datasources/schema_inference.h"
+#include "test_temp_path.h"
 
 namespace ssql {
 namespace {
@@ -31,7 +32,7 @@ DataFrame SampleFrame(SqlContext& ctx) {
 
 TEST(WritePathTest, CsvRoundTrip) {
   SqlContext ctx;
-  std::string path = ::testing::TempDir() + "/wp.csv";
+  std::string path = TestTempPath("wp.csv");
   SampleFrame(ctx).SaveAsCsv(path);
   auto read =
       ctx.Read("csv",
@@ -45,7 +46,7 @@ TEST(WritePathTest, CsvRoundTrip) {
 
 TEST(WritePathTest, JsonRoundTrip) {
   SqlContext ctx;
-  std::string path = ::testing::TempDir() + "/wp.json";
+  std::string path = TestTempPath("wp.json");
   SampleFrame(ctx).SaveAsJson(path);
   DataFrame read = ctx.ReadJson(path);
   auto rows = read.Collect();
@@ -59,7 +60,7 @@ TEST(WritePathTest, JsonRoundTrip) {
 
 TEST(WritePathTest, ColfRoundTripIncludingQuery) {
   SqlContext ctx;
-  std::string path = ::testing::TempDir() + "/wp.colf";
+  std::string path = TestTempPath("wp.colf");
   SampleFrame(ctx).SaveAsColf(path);
   ctx.ReadColf(path).RegisterTempTable("t");
   auto rows = ctx.Sql("SELECT name FROM t WHERE id >= 2 ORDER BY id").Collect();
@@ -79,7 +80,7 @@ TEST(WritePathTest, SqlResultCanBeSaved) {
   // The Figure 10 "separate jobs" pattern as API: save a query result.
   SqlContext ctx;
   SampleFrame(ctx).RegisterTempTable("src");
-  std::string path = ::testing::TempDir() + "/wp_filtered.json";
+  std::string path = TestTempPath("wp_filtered.json");
   ctx.Sql("SELECT id, score FROM src WHERE score IS NOT NULL").SaveAsJson(path);
   EXPECT_EQ(ctx.ReadJson(path).Count(), 2);
 }
