@@ -23,7 +23,7 @@ cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure -j "$(nproc)" --repeat until-fail:3)
 
 cmake -B build-sanitize -S . -DSSQL_SANITIZE=address >/dev/null
-cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_datasources >/dev/null
+cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_exec --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_datasources >/dev/null
 ./build-sanitize/tests/test_fault_tolerance
 ./build-sanitize/tests/test_memory
 ./build-sanitize/tests/test_observability
@@ -36,6 +36,9 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 # equivalence sweep (batch_size 1 and 1024) is the strongest detector of
 # out-of-bounds lane reads turning into wrong-but-plausible answers.
 ./build-sanitize/tests/test_vectorized
+# Operators under ASan: the typed group table probes raw slot arrays and
+# views string keys in a byte arena; the top-K heap indexes its input.
+./build-sanitize/tests/test_exec
 ./build-sanitize/tests/test_columnar
 ./build-sanitize/tests/test_property_end_to_end
 # Data sources under ASan: colf scans decode row groups in place from the
@@ -58,7 +61,7 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 # re-registration and the copy-on-write staleness swap are its TSan
 # surface, and the HLL/histogram buffers its ASan surface.
 cmake -B build-tsan -S . -DSSQL_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder >/dev/null
+cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_exec --target test_property_end_to_end --target test_flight_recorder >/dev/null
 ./build-tsan/tests/test_concurrency
 ./build-tsan/tests/test_system_tables
 ./build-tsan/tests/test_fault_tolerance
@@ -68,6 +71,7 @@ cmake --build build-tsan -j --target test_concurrency --target test_system_table
 # FilterView windows across task boundaries), and the property sweep runs
 # the same shapes through the speculatable task runner.
 ./build-tsan/tests/test_vectorized
+./build-tsan/tests/test_exec
 ./build-tsan/tests/test_property_end_to_end
 # Flight recorder under TSan: emitters on every engine thread race
 # snapshot readers, the sampler thread, and a mid-flight reconfigure.
@@ -98,6 +102,13 @@ for seed in 1 2 3; do
   echo "chaos seed ${seed} batch_size=1 (TSan)"
   SSQL_BATCH_SIZE=1 SSQL_CHAOS_SEED="${seed}" ./build-tsan/tests/test_chaos
 done
+
+# Benchmark correctness smoke: the self-test proves every result check
+# flags a perturbed reference, and a short run of every BENCHMARK.json
+# workload exits non-zero on any wrong result (Q2's group sums, Q3's top-1,
+# the ETL read-back) against the native references.
+python3 perfbench/run.py --selftest
+python3 perfbench/run.py --all --seconds 3
 
 # Smoke the instrumentation-overhead benchmark (a few quick repetitions; the
 # full comparison is a manual/CI readout, not a gate).

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalyst/expr/expression.h"
@@ -52,6 +53,10 @@ class CompiledExpression {
     bool EvaluateBool(const Row& row, bool* is_null);
     int64_t EvaluateInt64(const Row& row, bool* is_null);
     double EvaluateDouble(const Row& row, bool* is_null);
+    /// String form (result_kind() == kStr): a view of the row's own bytes
+    /// or of evaluator scratch, valid until the next call or until `row`
+    /// is gone. Empty when null.
+    std::string_view EvaluateString(const Row& row, bool* is_null);
 
    private:
     friend class CompiledExpression;

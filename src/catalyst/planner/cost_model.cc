@@ -400,8 +400,10 @@ RowEstimate EstimateAggregateRows(const Aggregate& agg,
   }
   RowEstimate child = EstimateRows(agg.child(), ctx);
   if (!child.rows) return {};
-  // Product of grouping-key NDVs, capped at the input cardinality. Keys
-  // without stats contribute no factor but downgrade provenance.
+  // Product of grouping-key NDVs, capped at the input cardinality. One key
+  // without an NDV leaves the group count unknown: the input cardinality is
+  // then the (heuristic) upper bound, never 1.
+  const double child_rows = static_cast<double>(*child.rows);
   double groups = 1.0;
   EstimateSource source = child.source;
   for (const ExprPtr& g : agg.groupings()) {
@@ -411,10 +413,12 @@ RowEstimate EstimateAggregateRows(const Aggregate& agg,
     if (cs != nullptr && cs->ndv > 0) {
       groups *= static_cast<double>(cs->ndv);
     } else {
+      groups = child_rows;
       source = Weakest(source, EstimateSource::kHeuristic);
+      break;
     }
   }
-  double rows = std::min(groups, static_cast<double>(*child.rows));
+  double rows = std::min(groups, child_rows);
   return {static_cast<uint64_t>(std::max(rows, 1.0) + 0.5), source};
 }
 

@@ -192,6 +192,29 @@ PhysPtr PhysicalPlanner::PlanNodeImpl(const PlanPtr& plan) const {
     return std::make_shared<SortExec>(sort->orders(), PlanNode(sort->child()));
   }
   if (const auto* limit = AsPlan<Limit>(plan)) {
+    // ORDER BY ... LIMIT k runs as a top-K sort (Spark's TakeOrdered), also
+    // through a deterministic projection above the sort: such a Project
+    // keeps the row count, order and values, so Limit(Project(Sort)) =
+    // Project(Limit(Sort)).
+    const int64_t k = std::max<int64_t>(limit->n(), 0);
+    if (const auto* sort = AsPlan<Sort>(limit->child())) {
+      return std::make_shared<SortExec>(sort->orders(),
+                                        PlanNode(sort->child()), k);
+    }
+    if (const auto* project = AsPlan<Project>(limit->child())) {
+      const auto& projections = project->projections();
+      const auto* sort = AsPlan<Sort>(project->child());
+      auto deterministic = [](const NamedExprPtr& e) {
+        return e->deterministic();
+      };
+      if (sort != nullptr && std::all_of(projections.begin(),
+                                         projections.end(), deterministic)) {
+        return std::make_shared<ProjectFilterExec>(
+            projections, nullptr,
+            std::make_shared<SortExec>(sort->orders(), PlanNode(sort->child()),
+                                       k));
+      }
+    }
     return std::make_shared<LimitExec>(limit->n(), PlanNode(limit->child()));
   }
   if (const auto* distinct = AsPlan<Distinct>(plan)) {

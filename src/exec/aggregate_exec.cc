@@ -1,6 +1,7 @@
 #include "exec/aggregate_exec.h"
 
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 
 #include "catalyst/codegen/compiled_expression.h"
@@ -137,6 +138,17 @@ class SpillingGroupMap {
     }
   }
 
+  /// Drain() into the partial stage's row layout: [key..., acc...].
+  void DrainRows(std::vector<Row>* out) {
+    Drain([out](GroupKey key, std::vector<Value> accs) {
+      Row row;
+      row.Reserve(key.values.size() + accs.size());
+      for (auto& v : key.values) row.Append(std::move(v));
+      for (auto& a : accs) row.Append(std::move(a));
+      out->push_back(std::move(row));
+    });
+  }
+
   bool spilled() const { return !spill_buckets_.empty(); }
 
  private:
@@ -204,6 +216,41 @@ class SpillingGroupMap {
   std::vector<std::optional<SpillFile>> spill_buckets_;
 };
 
+/// The generic partial stage bound to its input: grouping expressions and
+/// aggregate functions over the child row, folded row by row into a
+/// SpillingGroupMap. Shared by the row and the batched generic paths.
+struct GenericPartial {
+  GenericPartial(const ExprVector& unbound_groupings,
+                 const std::vector<AggregatePtr>& agg_functions,
+                 const AttributeVector& child_out) {
+    groupings.reserve(unbound_groupings.size());
+    for (const auto& g : unbound_groupings) {
+      groupings.push_back(BindReferences(g, child_out));
+    }
+    aggs.reserve(agg_functions.size());
+    for (const auto& agg : agg_functions) {
+      aggs.push_back(std::static_pointer_cast<const AggregateFunction>(
+          BindReferences(agg, child_out)));
+    }
+  }
+
+  void Fold(SpillingGroupMap& groups, const Row& row) const {
+    GroupKey key;
+    key.values.reserve(groupings.size());
+    for (const auto& g : groupings) key.values.push_back(g->Eval(row));
+    std::vector<Value>* accs = groups.FindOrInsert(std::move(key), [&] {
+      std::vector<Value> init;
+      init.reserve(aggs.size());
+      for (const auto& agg : aggs) init.push_back(agg->InitAccumulator());
+      return init;
+    });
+    for (size_t j = 0; j < aggs.size(); ++j) aggs[j]->Update(&(*accs)[j], row);
+  }
+
+  ExprVector groupings;
+  std::vector<AggregatePtr> aggs;
+};
+
 }  // namespace
 
 HashAggregateExec::HashAggregateExec(ExprVector groupings,
@@ -263,50 +310,17 @@ RowDataset HashAggregateExec::ExecutePartial(QueryContext& ctx) const {
     if (TryExecutePartialFast(ctx, input, child_out, &fast)) return fast;
   }
 
-  // Bind grouping exprs and aggregate-function children to the child row.
-  ExprVector bound_groupings;
-  bound_groupings.reserve(groupings_.size());
-  for (const auto& g : groupings_) {
-    bound_groupings.push_back(BindReferences(g, child_out));
-  }
-  std::vector<AggregatePtr> bound_aggs;
-  bound_aggs.reserve(agg_functions_.size());
-  for (const auto& agg : agg_functions_) {
-    ExprPtr bound = BindReferences(agg, child_out);
-    bound_aggs.push_back(
-        std::static_pointer_cast<const AggregateFunction>(bound));
-  }
-
+  const GenericPartial generic(groupings_, agg_functions_, child_out);
   return input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
-    SpillingGroupMap groups(ctx, "aggregate.partial", bound_groupings.size(),
-                            bound_aggs);
+    SpillingGroupMap groups(ctx, "aggregate.partial", generic.groupings.size(),
+                            generic.aggs);
     size_t cancel_check = 0;
     for (const Row& row : part.rows) {
       ctx.CheckCancelledEvery(&cancel_check);
-      GroupKey key;
-      key.values.reserve(bound_groupings.size());
-      for (const auto& g : bound_groupings) key.values.push_back(g->Eval(row));
-      std::vector<Value>* accs =
-          groups.FindOrInsert(std::move(key), [&] {
-            std::vector<Value> init;
-            init.reserve(bound_aggs.size());
-            for (const auto& agg : bound_aggs) {
-              init.push_back(agg->InitAccumulator());
-            }
-            return init;
-          });
-      for (size_t j = 0; j < bound_aggs.size(); ++j) {
-        bound_aggs[j]->Update(&(*accs)[j], row);
-      }
+      generic.Fold(groups, row);
     }
     auto out = std::make_shared<RowPartition>();
-    groups.Drain([&](GroupKey key, std::vector<Value> accs) {
-      Row row;
-      row.Reserve(key.values.size() + accs.size());
-      for (auto& v : key.values) row.Append(std::move(v));
-      for (auto& a : accs) row.Append(std::move(a));
-      out->rows.push_back(std::move(row));
-    });
+    groups.DrainRows(&out->rows);
     return out;
   }, "aggregate.partial");
 }
@@ -329,6 +343,7 @@ struct FastAggSpec {
   bool is_min = false;                              // for kMinMax*
   TypeId box_type = TypeId::kInt64;                 // result boxing for min/max
   std::optional<CompiledExpression> compiled;       // child program
+  bool arg_f64 = false;  // the compiled child yields doubles, not int64
 };
 
 /// Typed per-group accumulator bank (one entry per aggregate function).
@@ -342,6 +357,11 @@ struct FastAcc {
 bool IsIntLikeType(TypeId id) {
   return id == TypeId::kInt32 || id == TypeId::kInt64 || id == TypeId::kDate ||
          id == TypeId::kTimestamp || id == TypeId::kBoolean;
+}
+
+/// Grouping-key types the typed fast paths index directly.
+bool IsFastKeyType(TypeId id) {
+  return IsIntLikeType(id) || id == TypeId::kString;
 }
 
 /// Boxes an int64 back into its logical type.
@@ -359,10 +379,6 @@ Value BoxIntLike(int64_t v, TypeId id) {
       return Value(v);
   }
 }
-
-}  // namespace
-
-namespace {
 
 /// Categorizes the aggregate functions for the typed fast path. When
 /// `child_out` is non-null the children are also compiled (the partial
@@ -417,11 +433,31 @@ bool CategorizeFastAggs(const std::vector<AggregatePtr>& agg_functions,
         spec.compiled =
             CompiledExpression::Compile(BindReferences(child, *child_out));
         if (!spec.compiled) return false;
+        spec.arg_f64 =
+            spec.compiled->result_kind() == CompiledExpression::Kind::kF64;
       }
     }
     specs->push_back(std::move(spec));
   }
   return !specs->empty();
+}
+
+/// Shape check shared by the two partial fast paths: at most one grouping
+/// key, int-like or string, compiled into `key_program`; every aggregate a
+/// simple count/sum/avg/min/max with its argument compiled into `specs`.
+bool PrepareFastPartial(const ExprVector& groupings,
+                        const std::vector<AggregatePtr>& agg_functions,
+                        const AttributeVector& child_out,
+                        std::optional<CompiledExpression>* key_program,
+                        std::vector<FastAggSpec>* specs) {
+  if (groupings.size() > 1) return false;
+  if (groupings.size() == 1) {
+    if (!IsFastKeyType(groupings[0]->data_type()->id())) return false;
+    *key_program =
+        CompiledExpression::Compile(BindReferences(groupings[0], child_out));
+    if (!*key_program) return false;
+  }
+  return CategorizeFastAggs(agg_functions, &child_out, specs);
 }
 
 /// Column types for packing the *partial* stage's output into batches.
@@ -440,84 +476,205 @@ std::vector<DataTypePtr> PartialPackTypes(const ExprVector& groupings,
   return types;
 }
 
-/// Shared group-index machinery of the typed fast paths: int64 key → bank
-/// index, null keys in their own slot, banks laid out group-major (m
-/// accumulators per group). Keys appear in `keys` in first-seen order.
-struct FastGroupTable {
-  explicit FastGroupTable(size_t m) : m(m) {}
+/// The one group table of the typed fast paths (row partial, batched
+/// partial, final). A group is keyed by a single int-like key (held as
+/// int64) or string key; null keys share their own group, which is also
+/// the single group of a global aggregate. Each group owns a bank of m
+/// accumulators, laid out group-major, and groups are numbered in
+/// first-seen order. The index is open-addressed over group numbers with
+/// linear probing. String keys are copied into one byte arena once, when
+/// their group is created; lookups hash and compare the probe key's bytes in
+/// place, so no std::string is built per row.
+class FastGroupTable {
+ public:
+  FastGroupTable(size_t m, TypeId key_type)
+      : m_(m), key_type_(key_type), slots_(kInitialSlots) {}
 
-  FastAcc* SlotFor(int64_t key, bool key_null) {
-    uint32_t idx;
-    if (key_null) {
-      if (null_slot < 0) {
-        null_slot = static_cast<int32_t>(banks.size() / m);
-        banks.resize(banks.size() + m);
-        keys.push_back(0);
-      }
-      idx = static_cast<uint32_t>(null_slot);
-    } else {
-      auto it = index.find(key);
-      if (it == index.end()) {
-        idx = static_cast<uint32_t>(banks.size() / m);
-        index.emplace(key, idx);
-        banks.resize(banks.size() + m);
-        keys.push_back(key);
-      } else {
-        idx = it->second;
-      }
-    }
-    return &banks[static_cast<size_t>(idx) * m];
+  FastAcc* SlotForNull() {
+    if (null_group_ < 0) null_group_ = static_cast<int32_t>(NewGroup(0));
+    return Bank(static_cast<uint32_t>(null_group_));
   }
 
-  size_t m;
-  std::unordered_map<int64_t, uint32_t> index;
-  std::vector<FastAcc> banks;
-  std::vector<int64_t> keys;
-  int32_t null_slot = -1;
+  FastAcc* SlotForInt(int64_t key) {
+    const uint64_t h = MixHash64(static_cast<uint64_t>(key));
+    Slot* slot = Probe(h, [&](uint32_t g) { return int_keys_[g] == key; });
+    if (slot->group != kEmpty) return Bank(slot->group);
+    const uint32_t g = Claim(slot, h);
+    int_keys_[g] = key;
+    return Bank(g);
+  }
+
+  FastAcc* SlotForString(std::string_view key) {
+    const uint64_t h = std::hash<std::string_view>{}(key);
+    Slot* slot = Probe(h, [&](uint32_t g) { return StringKey(g) == key; });
+    if (slot->group != kEmpty) return Bank(slot->group);
+    arena_.append(key);  // before Claim, which records the key's end
+    return Bank(Claim(slot, h));
+  }
+
+  /// Finds or creates the group of a boxed key (the final stage's input).
+  FastAcc* SlotForValue(const Value& key) {
+    if (key.is_null()) return SlotForNull();
+    return key_type_ == TypeId::kString ? SlotForString(key.str())
+                                        : SlotForInt(key.AsInt64());
+  }
+
+  size_t num_groups() const { return hashes_.size(); }
+  const FastAcc* bank(size_t g) const { return &banks_[g * m_]; }
+
+  /// Boxes group `g`'s key in its logical type (once per group).
+  Value KeyValue(size_t g) const {
+    if (null_group_ >= 0 && g == static_cast<size_t>(null_group_)) {
+      return Value::Null();
+    }
+    if (key_type_ == TypeId::kString) return Value(std::string(StringKey(g)));
+    return BoxIntLike(int_keys_[g], key_type_);
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  static constexpr size_t kInitialSlots = 64;
+
+  /// Group number plus the hash's high bits, checked before the key.
+  struct Slot {
+    uint32_t group = kEmpty;
+    uint32_t tag = 0;
+  };
+
+  template <typename KeyEq>
+  Slot* Probe(uint64_t h, const KeyEq& key_eq) {
+    const size_t mask = slots_.size() - 1;
+    const uint32_t tag = static_cast<uint32_t>(h >> 32);
+    for (size_t pos = h & mask;; pos = (pos + 1) & mask) {
+      Slot& s = slots_[pos];
+      if (s.group == kEmpty || (s.tag == tag && key_eq(s.group))) return &s;
+    }
+  }
+
+  /// Stores a new group in the empty `slot` found by Probe; may rehash.
+  uint32_t Claim(Slot* slot, uint64_t h) {
+    const uint32_t g = NewGroup(h);
+    slot->group = g;
+    slot->tag = static_cast<uint32_t>(h >> 32);
+    if (++indexed_ * 2 > slots_.size()) Grow();
+    return g;
+  }
+
+  uint32_t NewGroup(uint64_t h) {
+    const auto g = static_cast<uint32_t>(hashes_.size());
+    hashes_.push_back(h);
+    // Keep the key arrays indexable by group number (the null group holds
+    // a zero / empty key).
+    if (key_type_ == TypeId::kString) {
+      str_ends_.resize(g + 1, arena_.size());
+    } else {
+      int_keys_.resize(g + 1, 0);
+    }
+    banks_.resize(banks_.size() + m_);
+    return g;
+  }
+
+  void Grow() {
+    std::vector<Slot> bigger(slots_.size() * 2);
+    const size_t mask = bigger.size() - 1;
+    for (const Slot& s : slots_) {
+      if (s.group == kEmpty) continue;
+      size_t pos = hashes_[s.group] & mask;
+      while (bigger[pos].group != kEmpty) pos = (pos + 1) & mask;
+      bigger[pos] = s;
+    }
+    slots_ = std::move(bigger);
+  }
+
+  std::string_view StringKey(size_t g) const {
+    const size_t begin = g == 0 ? 0 : str_ends_[g - 1];
+    return std::string_view(arena_).substr(begin, str_ends_[g] - begin);
+  }
+
+  FastAcc* Bank(uint32_t g) { return &banks_[static_cast<size_t>(g) * m_]; }
+
+  size_t m_;
+  TypeId key_type_;
+  std::vector<Slot> slots_;
+  size_t indexed_ = 0;           // groups in slots_ (all but the null group)
+  std::vector<uint64_t> hashes_;  // per group; rehashing reads them
+  std::vector<FastAcc> banks_;
+  std::vector<int64_t> int_keys_;  // int-like keys, per group
+  std::string arena_;              // string keys, back to back
+  std::vector<size_t> str_ends_;   // per group: end of its key in arena_
+  int32_t null_group_ = -1;
 };
+
+/// Folds one non-null value into a typed accumulator: an argument value in
+/// the partial stages, or, for sums and min/max, whose merge is the same
+/// fold, a partial accumulator in the final stage. `i` carries int-like
+/// values and `f` doubles (Average's argument may be either).
+void FoldNonNull(const FastAggSpec& spec, FastAcc& acc, int64_t i, double f) {
+  switch (spec.kind) {
+    case FastAggSpec::Kind::kCountStar:
+    case FastAggSpec::Kind::kCount:
+      acc.count += 1;
+      break;
+    case FastAggSpec::Kind::kSumI64:
+      acc.i64 += i;
+      acc.has = true;
+      break;
+    case FastAggSpec::Kind::kSumF64:
+      acc.f64 += f;
+      acc.has = true;
+      break;
+    case FastAggSpec::Kind::kAvg:
+      // Average's accumulator sums as double regardless of input.
+      acc.f64 += spec.arg_f64 ? f : static_cast<double>(i);
+      acc.count += 1;
+      break;
+    case FastAggSpec::Kind::kMinMaxI64:
+      if (!acc.has || (spec.is_min ? i < acc.i64 : i > acc.i64)) acc.i64 = i;
+      acc.has = true;
+      break;
+    case FastAggSpec::Kind::kMinMaxF64:
+      if (!acc.has || (spec.is_min ? f < acc.f64 : f > acc.f64)) acc.f64 = f;
+      acc.has = true;
+      break;
+  }
+}
+
+/// Boxes one typed accumulator: as the partial accumulator the generic
+/// Final stage merges (`finished` false), or as the aggregate's result.
+Value BoxFastAcc(const FastAggSpec& spec, const FastAcc& acc, bool finished) {
+  switch (spec.kind) {
+    case FastAggSpec::Kind::kCountStar:
+    case FastAggSpec::Kind::kCount:
+      return Value(acc.count);
+    case FastAggSpec::Kind::kSumI64:
+      return acc.has ? Value(acc.i64) : Value::Null();
+    case FastAggSpec::Kind::kSumF64:
+    case FastAggSpec::Kind::kMinMaxF64:
+      return acc.has ? Value(acc.f64) : Value::Null();
+    case FastAggSpec::Kind::kAvg:
+      if (!finished) return Value::Struct({Value(acc.f64), Value(acc.count)});
+      return acc.count > 0 ? Value(acc.f64 / static_cast<double>(acc.count))
+                           : Value::Null();
+    case FastAggSpec::Kind::kMinMaxI64:
+      return acc.has ? BoxIntLike(acc.i64, spec.box_type) : Value::Null();
+  }
+  return Value::Null();
+}
 
 /// Boxes each group of a partial-stage fast table once, into exactly the
 /// accumulator layout the generic Final stage expects: [key?][acc...].
 void AppendPartialGroupRows(const std::vector<FastAggSpec>& specs,
                             const FastGroupTable& table, bool has_key,
-                            TypeId key_type, std::vector<Row>* out) {
+                            std::vector<Row>* out) {
   const size_t m = specs.size();
-  const size_t num_groups = table.banks.size() / m;
-  out->reserve(out->size() + num_groups);
-  for (size_t g = 0; g < num_groups; ++g) {
+  out->reserve(out->size() + table.num_groups());
+  for (size_t g = 0; g < table.num_groups(); ++g) {
     Row row;
     row.Reserve((has_key ? 1 : 0) + m);
-    if (has_key) {
-      bool is_null_group =
-          table.null_slot >= 0 && g == static_cast<size_t>(table.null_slot);
-      row.Append(is_null_group ? Value::Null()
-                               : BoxIntLike(table.keys[g], key_type));
-    }
+    if (has_key) row.Append(table.KeyValue(g));
+    const FastAcc* bank = table.bank(g);
     for (size_t j = 0; j < m; ++j) {
-      const FastAcc& acc = table.banks[g * m + j];
-      const FastAggSpec& spec = specs[j];
-      switch (spec.kind) {
-        case FastAggSpec::Kind::kCountStar:
-        case FastAggSpec::Kind::kCount:
-          row.Append(Value(acc.count));
-          break;
-        case FastAggSpec::Kind::kSumI64:
-          row.Append(acc.has ? Value(acc.i64) : Value::Null());
-          break;
-        case FastAggSpec::Kind::kSumF64:
-          row.Append(acc.has ? Value(acc.f64) : Value::Null());
-          break;
-        case FastAggSpec::Kind::kAvg:
-          row.Append(Value::Struct({Value(acc.f64), Value(acc.count)}));
-          break;
-        case FastAggSpec::Kind::kMinMaxI64:
-          row.Append(acc.has ? BoxIntLike(acc.i64, spec.box_type)
-                             : Value::Null());
-          break;
-        case FastAggSpec::Kind::kMinMaxF64:
-          row.Append(acc.has ? Value(acc.f64) : Value::Null());
-          break;
-      }
+      row.Append(BoxFastAcc(specs[j], bank[j], /*finished=*/false));
     }
     out->push_back(std::move(row));
   }
@@ -529,19 +686,12 @@ bool HashAggregateExec::TryExecutePartialFast(QueryContext& ctx,
                                               const RowDataset& input,
                                               const AttributeVector& child_out,
                                               RowDataset* out) const {
-  // Shape check: at most one integer-like grouping key.
-  if (groupings_.size() > 1) return false;
   std::optional<CompiledExpression> key_program;
-  if (groupings_.size() == 1) {
-    TypeId kt = groupings_[0]->data_type()->id();
-    if (!IsIntLikeType(kt)) return false;
-    key_program =
-        CompiledExpression::Compile(BindReferences(groupings_[0], child_out));
-    if (!key_program) return false;
-  }
-
   std::vector<FastAggSpec> specs;
-  if (!CategorizeFastAggs(agg_functions_, &child_out, &specs)) return false;
+  if (!PrepareFastPartial(groupings_, agg_functions_, child_out, &key_program,
+                          &specs)) {
+    return false;
+  }
 
   size_t m = specs.size();
   bool has_key = key_program.has_value();
@@ -549,6 +699,7 @@ bool HashAggregateExec::TryExecutePartialFast(QueryContext& ctx,
       has_key ? &*key_program : nullptr;
   TypeId key_type =
       has_key ? groupings_[0]->data_type()->id() : TypeId::kNull;
+  const bool string_key = key_type == TypeId::kString;
 
   *out = input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
     // Per-task evaluators (register scratch is not shareable).
@@ -559,97 +710,42 @@ bool HashAggregateExec::TryExecutePartialFast(QueryContext& ctx,
       if (specs[j].compiled) arg_evals[j].emplace(specs[j].compiled->NewEvaluator());
     }
 
-    // Null keys get their own slot. Without groupings there is exactly one
-    // bank.
-    FastGroupTable table(m);
-    if (!has_key) {
-      table.banks.resize(m);
-      table.keys.push_back(0);
-    }
+    // Without groupings there is exactly one bank, even for no rows.
+    FastGroupTable table(m, key_type);
+    if (!has_key) table.SlotForNull();
 
     size_t cancel_check = 0;
     for (const Row& row : part.rows) {
       ctx.CheckCancelledEvery(&cancel_check);
       FastAcc* bank;
-      if (has_key) {
-        bool key_null = false;
-        int64_t key = key_eval->EvaluateInt64(row, &key_null);
-        bank = table.SlotFor(key, key_null);
+      bool key_null = false;
+      if (!has_key) {
+        bank = table.SlotForNull();
+      } else if (string_key) {
+        std::string_view key = key_eval->EvaluateString(row, &key_null);
+        bank = key_null ? table.SlotForNull() : table.SlotForString(key);
       } else {
-        bank = table.banks.data();
+        int64_t key = key_eval->EvaluateInt64(row, &key_null);
+        bank = key_null ? table.SlotForNull() : table.SlotForInt(key);
       }
       for (size_t j = 0; j < m; ++j) {
-        FastAcc& acc = bank[j];
         const FastAggSpec& spec = specs[j];
-        if (spec.kind == FastAggSpec::Kind::kCountStar) {
-          acc.count += 1;
-          continue;
-        }
         bool is_null = false;
-        switch (spec.kind) {
-          case FastAggSpec::Kind::kCount: {
-            arg_evals[j]->Evaluate(row).is_null() ? void() : void(acc.count += 1);
-            break;
+        int64_t i = 0;
+        double f = 0;
+        if (spec.compiled) {  // count(*) has no argument
+          if (spec.arg_f64) {
+            f = arg_evals[j]->EvaluateDouble(row, &is_null);
+          } else {
+            i = arg_evals[j]->EvaluateInt64(row, &is_null);
           }
-          case FastAggSpec::Kind::kSumI64: {
-            int64_t v = arg_evals[j]->EvaluateInt64(row, &is_null);
-            if (!is_null) {
-              acc.i64 += v;
-              acc.has = true;
-            }
-            break;
-          }
-          case FastAggSpec::Kind::kSumF64: {
-            double v = arg_evals[j]->EvaluateDouble(row, &is_null);
-            if (!is_null) {
-              acc.f64 += v;
-              acc.has = true;
-            }
-            break;
-          }
-          case FastAggSpec::Kind::kAvg: {
-            // Average's accumulator sums as double regardless of input.
-            double v;
-            if (specs[j].compiled->result_kind() ==
-                CompiledExpression::Kind::kF64) {
-              v = arg_evals[j]->EvaluateDouble(row, &is_null);
-            } else {
-              v = static_cast<double>(arg_evals[j]->EvaluateInt64(row, &is_null));
-            }
-            if (!is_null) {
-              acc.f64 += v;
-              acc.count += 1;
-            }
-            break;
-          }
-          case FastAggSpec::Kind::kMinMaxI64: {
-            int64_t v = arg_evals[j]->EvaluateInt64(row, &is_null);
-            if (!is_null) {
-              if (!acc.has || (spec.is_min ? v < acc.i64 : v > acc.i64)) {
-                acc.i64 = v;
-              }
-              acc.has = true;
-            }
-            break;
-          }
-          case FastAggSpec::Kind::kMinMaxF64: {
-            double v = arg_evals[j]->EvaluateDouble(row, &is_null);
-            if (!is_null) {
-              if (!acc.has || (spec.is_min ? v < acc.f64 : v > acc.f64)) {
-                acc.f64 = v;
-              }
-              acc.has = true;
-            }
-            break;
-          }
-          default:
-            break;
         }
+        if (!is_null) FoldNonNull(spec, bank[j], i, f);
       }
     }
 
     auto result = std::make_shared<RowPartition>();
-    AppendPartialGroupRows(specs, table, has_key, key_type, &result->rows);
+    AppendPartialGroupRows(specs, table, has_key, &result->rows);
     return result;
   }, "aggregate.partial");
   return true;
@@ -658,24 +754,19 @@ bool HashAggregateExec::TryExecutePartialFast(QueryContext& ctx,
 bool HashAggregateExec::TryExecutePartialFastBatched(
     QueryContext& ctx, const BatchDataset& input,
     const AttributeVector& child_out, BatchDataset* out) const {
-  // Same shape conditions as the row fast path.
-  if (groupings_.size() > 1) return false;
   std::optional<CompiledExpression> key_program;
-  if (groupings_.size() == 1) {
-    TypeId kt = groupings_[0]->data_type()->id();
-    if (!IsIntLikeType(kt)) return false;
-    key_program =
-        CompiledExpression::Compile(BindReferences(groupings_[0], child_out));
-    if (!key_program) return false;
-  }
   std::vector<FastAggSpec> specs;
-  if (!CategorizeFastAggs(agg_functions_, &child_out, &specs)) return false;
+  if (!PrepareFastPartial(groupings_, agg_functions_, child_out, &key_program,
+                          &specs)) {
+    return false;
+  }
 
   const size_t m = specs.size();
   const bool has_key = key_program.has_value();
   const CompiledExpression* key_prog_ptr = has_key ? &*key_program : nullptr;
   const TypeId key_type =
       has_key ? groupings_[0]->data_type()->id() : TypeId::kNull;
+  const bool string_key = key_type == TypeId::kString;
   const std::vector<DataTypePtr> out_types =
       PartialPackTypes(groupings_, agg_functions_.size());
   const size_t batch_size = ctx.config().batch_size;
@@ -692,11 +783,8 @@ bool HashAggregateExec::TryExecutePartialFastBatched(
         arg_evals[j].emplace(specs[j].compiled->NewVectorEvaluator());
       }
     }
-    FastGroupTable table(m);
-    if (!has_key) {
-      table.banks.resize(m);
-      table.keys.push_back(0);
-    }
+    FastGroupTable table(m, key_type);
+    if (!has_key) table.SlotForNull();
 
     // Lanes of one evaluated argument column (i64 xor f64, plus nulls).
     struct ArgLanes {
@@ -714,13 +802,18 @@ bool HashAggregateExec::TryExecutePartialFastBatched(
       // Evaluate the grouping key and every aggregate argument as whole
       // columns, then fold them with one tight lane loop.
       std::optional<ColumnVector> key_col;
-      const int64_t* key_vals = nullptr;
+      const int64_t* key_ints = nullptr;
+      const std::string* key_strs = nullptr;
       const uint8_t* key_nulls = nullptr;
       if (has_key) {
         key_col.emplace(key_prog_ptr->result_type());
         key_col->Reserve(n);
         key_eval->EvaluateColumn(*batch, &*key_col);
-        key_vals = key_col->ints().data();
+        if (string_key) {
+          key_strs = key_col->strings().data();
+        } else {
+          key_ints = key_col->ints().data();
+        }
         key_nulls = key_col->nulls().data();
       }
       std::vector<std::optional<ColumnVector>> arg_cols(m);
@@ -731,8 +824,7 @@ bool HashAggregateExec::TryExecutePartialFastBatched(
         arg_cols[j]->Reserve(n);
         arg_evals[j]->EvaluateColumn(*batch, &*arg_cols[j]);
         lanes[j].nulls = arg_cols[j]->nulls().data();
-        if (specs[j].compiled->result_kind() ==
-            CompiledExpression::Kind::kF64) {
+        if (specs[j].arg_f64) {
           lanes[j].f64 = arg_cols[j]->doubles().data();
         } else {
           lanes[j].i64 = arg_cols[j]->ints().data();
@@ -740,67 +832,25 @@ bool HashAggregateExec::TryExecutePartialFastBatched(
       }
 
       for (size_t k = 0; k < n; ++k) {
-        FastAcc* bank = has_key
-                            ? table.SlotFor(key_vals[k], key_nulls[k] != 0)
-                            : table.banks.data();
+        FastAcc* bank;
+        if (!has_key || key_nulls[k]) {
+          bank = table.SlotForNull();
+        } else if (string_key) {
+          bank = table.SlotForString(key_strs[k]);
+        } else {
+          bank = table.SlotForInt(key_ints[k]);
+        }
         for (size_t j = 0; j < m; ++j) {
-          FastAcc& acc = bank[j];
           const ArgLanes& lane = lanes[j];
-          switch (specs[j].kind) {
-            case FastAggSpec::Kind::kCountStar:
-              acc.count += 1;
-              break;
-            case FastAggSpec::Kind::kCount:
-              if (!lane.nulls[k]) acc.count += 1;
-              break;
-            case FastAggSpec::Kind::kSumI64:
-              if (!lane.nulls[k]) {
-                acc.i64 += lane.i64[k];
-                acc.has = true;
-              }
-              break;
-            case FastAggSpec::Kind::kSumF64:
-              if (!lane.nulls[k]) {
-                acc.f64 += lane.f64[k];
-                acc.has = true;
-              }
-              break;
-            case FastAggSpec::Kind::kAvg:
-              // Average's accumulator sums as double regardless of input.
-              if (!lane.nulls[k]) {
-                acc.f64 += lane.f64 != nullptr
-                               ? lane.f64[k]
-                               : static_cast<double>(lane.i64[k]);
-                acc.count += 1;
-              }
-              break;
-            case FastAggSpec::Kind::kMinMaxI64:
-              if (!lane.nulls[k]) {
-                int64_t v = lane.i64[k];
-                if (!acc.has ||
-                    (specs[j].is_min ? v < acc.i64 : v > acc.i64)) {
-                  acc.i64 = v;
-                }
-                acc.has = true;
-              }
-              break;
-            case FastAggSpec::Kind::kMinMaxF64:
-              if (!lane.nulls[k]) {
-                double v = lane.f64[k];
-                if (!acc.has ||
-                    (specs[j].is_min ? v < acc.f64 : v > acc.f64)) {
-                  acc.f64 = v;
-                }
-                acc.has = true;
-              }
-              break;
-          }
+          if (lane.nulls != nullptr && lane.nulls[k]) continue;
+          FoldNonNull(specs[j], bank[j], lane.i64 != nullptr ? lane.i64[k] : 0,
+                      lane.f64 != nullptr ? lane.f64[k] : 0);
         }
       }
     }
 
     std::vector<Row> rows;
-    AppendPartialGroupRows(specs, table, has_key, key_type, &rows);
+    AppendPartialGroupRows(specs, table, has_key, &rows);
     auto result = std::make_shared<BatchPartition>();
     PackRowsIntoBatches(rows, out_types, batch_size, &result->batches);
     return result;
@@ -824,56 +874,23 @@ BatchDataset HashAggregateExec::ExecuteBatchesImpl(QueryContext& ctx) const {
   // Generic shape: box each batch's live rows and fold them into the same
   // spilling group map as the row path — results are identical; the win is
   // that the pipeline below stayed columnar.
-  ExprVector bound_groupings;
-  bound_groupings.reserve(groupings_.size());
-  for (const auto& g : groupings_) {
-    bound_groupings.push_back(BindReferences(g, child_out));
-  }
-  std::vector<AggregatePtr> bound_aggs;
-  bound_aggs.reserve(agg_functions_.size());
-  for (const auto& agg : agg_functions_) {
-    ExprPtr bound = BindReferences(agg, child_out);
-    bound_aggs.push_back(
-        std::static_pointer_cast<const AggregateFunction>(bound));
-  }
+  const GenericPartial generic(groupings_, agg_functions_, child_out);
   const std::vector<DataTypePtr> out_types =
       PartialPackTypes(groupings_, agg_functions_.size());
   const size_t batch_size = ctx.config().batch_size;
 
   return input.MapPartitions(ctx, [&](size_t, const BatchPartition& part) {
-    SpillingGroupMap groups(ctx, "aggregate.partial", bound_groupings.size(),
-                            bound_aggs);
+    SpillingGroupMap groups(ctx, "aggregate.partial", generic.groupings.size(),
+                            generic.aggs);
     size_t cancel_check = 0;
     for (const RowBatchPtr& batch : part.batches) {
       for (size_t r = 0; r < batch->ActiveRows(); ++r) {
         ctx.CheckCancelledEvery(&cancel_check);
-        Row row = batch->BoxRow(batch->ActiveIndex(r));
-        GroupKey key;
-        key.values.reserve(bound_groupings.size());
-        for (const auto& g : bound_groupings) {
-          key.values.push_back(g->Eval(row));
-        }
-        std::vector<Value>* accs = groups.FindOrInsert(std::move(key), [&] {
-          std::vector<Value> init;
-          init.reserve(bound_aggs.size());
-          for (const auto& agg : bound_aggs) {
-            init.push_back(agg->InitAccumulator());
-          }
-          return init;
-        });
-        for (size_t j = 0; j < bound_aggs.size(); ++j) {
-          bound_aggs[j]->Update(&(*accs)[j], row);
-        }
+        generic.Fold(groups, batch->BoxRow(batch->ActiveIndex(r)));
       }
     }
     std::vector<Row> rows;
-    groups.Drain([&](GroupKey key, std::vector<Value> accs) {
-      Row row;
-      row.Reserve(key.values.size() + accs.size());
-      for (auto& v : key.values) row.Append(std::move(v));
-      for (auto& a : accs) row.Append(std::move(a));
-      rows.push_back(std::move(row));
-    });
+    groups.DrainRows(&rows);
     auto out = std::make_shared<BatchPartition>();
     PackRowsIntoBatches(rows, out_types, batch_size, &out->batches);
     return out;
@@ -986,42 +1003,17 @@ bool HashAggregateExec::TryExecuteFinalFast(QueryContext& ctx,
                                             RowDataset* out) const {
   if (groupings_.size() != 1) return false;
   TypeId key_type = groupings_[0]->data_type()->id();
-  if (!IsIntLikeType(key_type)) return false;
+  if (!IsFastKeyType(key_type)) return false;
   std::vector<FastAggSpec> specs;
   if (!CategorizeFastAggs(agg_functions_, nullptr, &specs)) return false;
   size_t m = specs.size();
 
   *out = input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
-    std::unordered_map<int64_t, uint32_t> index;
-    std::vector<FastAcc> banks;
-    std::vector<int64_t> keys;
-    int32_t null_slot = -1;
-
+    FastGroupTable table(m, key_type);
     size_t cancel_check = 0;
     for (const Row& row : part.rows) {
       ctx.CheckCancelledEvery(&cancel_check);
-      const Value& kv = row.Get(0);
-      uint32_t idx;
-      if (kv.is_null()) {
-        if (null_slot < 0) {
-          null_slot = static_cast<int32_t>(banks.size() / m);
-          banks.resize(banks.size() + m);
-          keys.push_back(0);
-        }
-        idx = static_cast<uint32_t>(null_slot);
-      } else {
-        int64_t key = kv.AsInt64();
-        auto it = index.find(key);
-        if (it == index.end()) {
-          idx = static_cast<uint32_t>(banks.size() / m);
-          index.emplace(key, idx);
-          banks.resize(banks.size() + m);
-          keys.push_back(key);
-        } else {
-          idx = it->second;
-        }
-      }
-      FastAcc* bank = &banks[static_cast<size_t>(idx) * m];
+      FastAcc* bank = table.SlotForValue(row.Get(0));
       for (size_t j = 0; j < m; ++j) {
         FastAcc& acc = bank[j];
         const Value& v = row.Get(1 + j);
@@ -1030,41 +1022,18 @@ bool HashAggregateExec::TryExecuteFinalFast(QueryContext& ctx,
           case FastAggSpec::Kind::kCount:
             acc.count += v.i64();
             break;
-          case FastAggSpec::Kind::kSumI64:
-            if (!v.is_null()) {
-              acc.i64 += v.AsInt64();
-              acc.has = true;
-            }
-            break;
-          case FastAggSpec::Kind::kSumF64:
-            if (!v.is_null()) {
-              acc.f64 += v.f64();
-              acc.has = true;
-            }
-            break;
           case FastAggSpec::Kind::kAvg: {
             const auto& fields = v.struct_data().fields;
             acc.f64 += fields[0].f64();
             acc.count += fields[1].i64();
             break;
           }
-          case FastAggSpec::Kind::kMinMaxI64:
-            if (!v.is_null()) {
-              int64_t x = v.AsInt64();
-              if (!acc.has || (specs[j].is_min ? x < acc.i64 : x > acc.i64)) {
-                acc.i64 = x;
-              }
-              acc.has = true;
-            }
-            break;
+          case FastAggSpec::Kind::kSumF64:
           case FastAggSpec::Kind::kMinMaxF64:
-            if (!v.is_null()) {
-              double x = v.f64();
-              if (!acc.has || (specs[j].is_min ? x < acc.f64 : x > acc.f64)) {
-                acc.f64 = x;
-              }
-              acc.has = true;
-            }
+            if (!v.is_null()) FoldNonNull(specs[j], acc, 0, v.f64());
+            break;
+          default:
+            if (!v.is_null()) FoldNonNull(specs[j], acc, v.AsInt64(), 0);
             break;
         }
       }
@@ -1072,42 +1041,15 @@ bool HashAggregateExec::TryExecuteFinalFast(QueryContext& ctx,
 
     // Finish + evaluate the result expressions per group.
     auto result = std::make_shared<RowPartition>();
-    size_t num_groups = banks.size() / m;
-    result->rows.reserve(num_groups);
+    result->rows.reserve(table.num_groups());
     Row base;
-    for (size_t g = 0; g < num_groups; ++g) {
+    for (size_t g = 0; g < table.num_groups(); ++g) {
       base.values().clear();
       base.Reserve(1 + m);
-      bool is_null_group =
-          null_slot >= 0 && g == static_cast<size_t>(null_slot);
-      base.Append(is_null_group ? Value::Null()
-                                : BoxIntLike(keys[g], key_type));
+      base.Append(table.KeyValue(g));
+      const FastAcc* bank = table.bank(g);
       for (size_t j = 0; j < m; ++j) {
-        const FastAcc& acc = banks[g * m + j];
-        switch (specs[j].kind) {
-          case FastAggSpec::Kind::kCountStar:
-          case FastAggSpec::Kind::kCount:
-            base.Append(Value(acc.count));
-            break;
-          case FastAggSpec::Kind::kSumI64:
-            base.Append(acc.has ? Value(acc.i64) : Value::Null());
-            break;
-          case FastAggSpec::Kind::kSumF64:
-            base.Append(acc.has ? Value(acc.f64) : Value::Null());
-            break;
-          case FastAggSpec::Kind::kAvg:
-            base.Append(acc.count > 0
-                            ? Value(acc.f64 / static_cast<double>(acc.count))
-                            : Value::Null());
-            break;
-          case FastAggSpec::Kind::kMinMaxI64:
-            base.Append(acc.has ? BoxIntLike(acc.i64, specs[j].box_type)
-                                : Value::Null());
-            break;
-          case FastAggSpec::Kind::kMinMaxF64:
-            base.Append(acc.has ? Value(acc.f64) : Value::Null());
-            break;
-        }
+        base.Append(BoxFastAcc(specs[j], bank[j], /*finished=*/true));
       }
       Row produced;
       produced.Reserve(result_exprs.size());

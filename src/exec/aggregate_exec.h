@@ -66,13 +66,15 @@ class HashAggregateExec : public PhysicalPlan {
   RowDataset ExecutePartial(QueryContext& ctx) const;
   RowDataset ExecuteFinal(QueryContext& ctx) const;
 
-  /// Codegen fast path for the map-side combine: when the grouping key is
-  /// a single integer-like column and every aggregate is a simple
-  /// count/sum/avg/min/max over a numeric column, per-row work runs on
-  /// typed accumulators keyed by int64 — no boxed keys, no Value
-  /// allocation per row. This is where Section 4.3.4's code generation
-  /// pays off for aggregation (the Figure 9 DataFrame bar). Returns false
-  /// when the shape is unsupported and the generic path must run.
+  /// Codegen fast path for the map-side combine: when there is no grouping
+  /// key or a single int-like or string one, and every aggregate is a
+  /// simple count/sum/avg/min/max over a numeric column, per-row work runs
+  /// on typed accumulators in the shared typed group table — no boxed
+  /// keys, no Value allocation and no std::string per row; each key is
+  /// boxed once per group. This is where Section 4.3.4's code generation
+  /// pays off for aggregation (the Figure 9 DataFrame bar; AMPLab Q3's
+  /// join rows). Returns false when the shape is unsupported and the
+  /// generic path must run.
   bool TryExecutePartialFast(QueryContext& ctx, const RowDataset& input,
                              const AttributeVector& child_out,
                              RowDataset* out) const;
@@ -87,8 +89,9 @@ class HashAggregateExec : public PhysicalPlan {
                                     BatchDataset* out) const;
 
   /// Matching fast path for the reduce side: merges the typed partial
-  /// accumulators without boxed group keys. Same shape conditions as the
-  /// partial fast path.
+  /// accumulators in the same group table, reading each boxed key once
+  /// per input row without copying it. Same shape conditions as the
+  /// partial fast path, except that a global aggregate stays generic.
   bool TryExecuteFinalFast(QueryContext& ctx, const RowDataset& input,
                            const ExprVector& result_exprs,
                            RowDataset* out) const;

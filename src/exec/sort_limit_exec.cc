@@ -11,53 +11,135 @@ RowDataset SortExec::ExecuteImpl(QueryContext& ctx) const {
   RowDataset input = child_->Execute(ctx);
   AttributeVector child_out = child_->Output();
 
-  struct BoundOrder {
-    ExprPtr expr;
-    bool ascending;
-  };
-  std::vector<BoundOrder> bound;
-  bound.reserve(orders_.size());
+  ExprVector keys;
+  std::vector<bool> ascending;
+  keys.reserve(orders_.size());
+  ascending.reserve(orders_.size());
   for (const auto& o : orders_) {
-    bound.push_back({BindReferences(o->child(), child_out), o->ascending()});
+    keys.push_back(BindReferences(o->child(), child_out));
+    ascending.push_back(o->ascending());
   }
 
-  auto less = [&bound](const Row& a, const Row& b) {
-    for (const auto& o : bound) {
-      int c = o.expr->Eval(a).Compare(o.expr->Eval(b));
-      if (c != 0) return o.ascending ? c < 0 : c > 0;
+  auto less = [&](const Row& a, const Row& b) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      int c = keys[i]->Eval(a).Compare(keys[i]->Eval(b));
+      if (c != 0) return ascending[i] ? c < 0 : c > 0;
     }
     return false;
   };
 
-  // Local sort per partition in parallel, then merge on the driver. The
-  // comparator polls cancellation so a timed-out query aborts even inside
-  // a large sort (std::stable_sort has no other exit point).
+  // Local sort (or top-K) per partition in parallel, then merge on the
+  // driver. The comparator polls cancellation so a timed-out query aborts
+  // even inside a large sort (std::stable_sort has no other exit point).
   size_t cancel_check = 0;
   auto checked_less = [&](const Row& a, const Row& b) {
     ctx.CheckCancelledEvery(&cancel_check);
     return less(a, b);
   };
 
-  RowDataset locally_sorted =
-      ctx.memory().limited()
-          ? input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
-              return ExternalSortPartition(ctx, part, less);
-            }, "sort")
-          : input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
-              auto out = std::make_shared<RowPartition>();
-              out->rows = part.rows;
-              size_t task_check = 0;
-              auto task_less = [&](const Row& a, const Row& b) {
-                ctx.CheckCancelledEvery(&task_check);
-                return less(a, b);
-              };
-              std::stable_sort(out->rows.begin(), out->rows.end(), task_less);
-              return out;
-            }, "sort");
+  const bool top_k = limit_ >= 0;
+  RowDataset locally_sorted;
+  if (top_k) {
+    locally_sorted = input.MapPartitions(ctx, [&](size_t,
+                                                  const RowPartition& part) {
+      return TopKPartition(ctx, part, static_cast<size_t>(limit_), keys,
+                           ascending, less);
+    }, "sort");
+  } else if (ctx.memory().limited()) {
+    locally_sorted = input.MapPartitions(ctx, [&](size_t,
+                                                  const RowPartition& part) {
+      return ExternalSortPartition(ctx, part, less);
+    }, "sort");
+  } else {
+    locally_sorted = input.MapPartitions(ctx, [&](size_t,
+                                                  const RowPartition& part) {
+      auto out = std::make_shared<RowPartition>();
+      out->rows = part.rows;
+      size_t task_check = 0;
+      auto task_less = [&](const Row& a, const Row& b) {
+        ctx.CheckCancelledEvery(&task_check);
+        return less(a, b);
+      };
+      std::stable_sort(out->rows.begin(), out->rows.end(), task_less);
+      return out;
+    }, "sort");
+  }
 
   std::vector<Row> merged = locally_sorted.Collect();
   std::stable_sort(merged.begin(), merged.end(), checked_less);
+  if (top_k && merged.size() > static_cast<size_t>(limit_)) {
+    merged.resize(static_cast<size_t>(limit_));
+  }
   return RowDataset::SinglePartition(std::move(merged));
+}
+
+std::shared_ptr<RowPartition> SortExec::TopKPartition(
+    QueryContext& ctx, const RowPartition& part, size_t k,
+    const ExprVector& keys, const std::vector<bool>& ascending,
+    const std::function<bool(const Row&, const Row&)>& less) const {
+  auto out = std::make_shared<RowPartition>();
+  if (k == 0) return out;
+
+  size_t task_check = 0;
+  auto compare_keys = [&](const std::vector<Value>& a,
+                          const std::vector<Value>& b) {
+    ctx.CheckCancelledEvery(&task_check);
+    for (size_t i = 0; i < a.size(); ++i) {
+      int c = a[i].Compare(b[i]);
+      if (c != 0) return ascending[i] ? c : -c;
+    }
+    return 0;
+  };
+  // A kept row: its order-key values, evaluated once, and its position in
+  // the partition. Candidates order by keys, then by position — the order a
+  // stable sort leaves — so the heap's front is the worst row kept.
+  struct Candidate {
+    std::vector<Value> keys;
+    size_t pos;
+    int64_t bytes;
+  };
+  auto before = [&](const Candidate& a, const Candidate& b) {
+    int c = compare_keys(a.keys, b.keys);
+    return c != 0 ? c < 0 : a.pos < b.pos;
+  };
+
+  const bool budgeted = ctx.memory().limited();
+  MemoryReservation reservation = ctx.memory().CreateReservation();
+  int64_t used = 0;
+  std::vector<Candidate> heap;
+  heap.reserve(std::min(k, part.rows.size()));
+  std::vector<Value> probe(keys.size());
+  for (size_t pos = 0; pos < part.rows.size(); ++pos) {
+    const Row& row = part.rows[pos];
+    for (size_t i = 0; i < keys.size(); ++i) probe[i] = keys[i]->Eval(row);
+    if (heap.size() == k) {
+      // A later row displaces the worst kept one only when its keys sort
+      // strictly before it; on a tie the earlier position wins.
+      if (compare_keys(probe, heap.front().keys) >= 0) continue;
+      std::pop_heap(heap.begin(), heap.end(), before);
+      used -= heap.back().bytes;
+      heap.back().keys.swap(probe);
+      heap.back().pos = pos;
+    } else {
+      heap.push_back(Candidate{probe, pos, 0});
+    }
+    if (budgeted) {
+      heap.back().bytes = EstimateRowBytes(row);
+      used += heap.back().bytes;
+      if (!reservation.EnsureReserved(used)) {
+        reservation.Release();
+        auto sorted = ExternalSortPartition(ctx, part, less);
+        if (sorted->rows.size() > k) sorted->rows.resize(k);
+        return sorted;
+      }
+    }
+    std::push_heap(heap.begin(), heap.end(), before);
+  }
+
+  std::sort_heap(heap.begin(), heap.end(), before);
+  out->rows.reserve(heap.size());
+  for (const Candidate& c : heap) out->rows.push_back(part.rows[c.pos]);
+  return out;
 }
 
 std::shared_ptr<RowPartition> SortExec::ExternalSortPartition(
@@ -159,7 +241,9 @@ std::string SortExec::Describe() const {
     if (i > 0) s += ", ";
     s += orders_[i]->ToString();
   }
-  return s + "]";
+  s += "]";
+  if (limit_ >= 0) s += ", limit=" + std::to_string(limit_);
+  return s;
 }
 
 RowDataset LimitExec::ExecuteImpl(QueryContext& ctx) const {

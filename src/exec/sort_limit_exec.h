@@ -10,12 +10,21 @@
 
 namespace ssql {
 
-/// Global sort: local sort per partition, then a driver-side k-way gather
-/// into one ordered partition.
+/// Global sort: local sort per partition, then a driver-side stable sort
+/// of the gathered rows into one ordered partition.
+///
+/// With a limit it is a top-K (Spark's TakeOrdered), which the planner uses
+/// for ORDER BY ... LIMIT k: each partition selects its first k rows by
+/// (order keys, input position) over indices into its input and copies out
+/// only those, and the driver stable-sorts the at most partitions x k
+/// survivors and cuts to k. The result is row for row that of a full
+/// stable sort cut to k, ties and nulls included.
 class SortExec : public PhysicalPlan {
  public:
-  SortExec(std::vector<std::shared_ptr<const SortOrder>> orders, PhysPtr child)
-      : orders_(std::move(orders)), child_(std::move(child)) {}
+  /// `limit` < 0 sorts everything; otherwise keeps the first `limit` rows.
+  SortExec(std::vector<std::shared_ptr<const SortOrder>> orders, PhysPtr child,
+           int64_t limit = -1)
+      : orders_(std::move(orders)), child_(std::move(child)), limit_(limit) {}
 
   std::string NodeName() const override { return "Sort"; }
   std::vector<PhysPtr> Children() const override { return {child_}; }
@@ -31,11 +40,22 @@ class SortExec : public PhysicalPlan {
       QueryContext& ctx, const RowPartition& part,
       const std::function<bool(const Row&, const Row&)>& less) const;
 
+  /// The first `k` rows of one partition in sort order, selected with a
+  /// bounded heap. Under a memory budget the kept rows are reserved like
+  /// the sort buffer; when a grant is denied the partition falls back to
+  /// ExternalSortPartition and takes its first `k`.
+  std::shared_ptr<RowPartition> TopKPartition(
+      QueryContext& ctx, const RowPartition& part, size_t k,
+      const ExprVector& keys, const std::vector<bool>& ascending,
+      const std::function<bool(const Row&, const Row&)>& less) const;
+
   std::vector<std::shared_ptr<const SortOrder>> orders_;
   PhysPtr child_;
+  int64_t limit_;
 };
 
-/// LIMIT: per-partition local limit, then a global cut on the driver.
+/// LIMIT without ORDER BY: per-partition local limit, then a global cut on
+/// the driver. (A LIMIT over a sort plans as a top-K SortExec instead.)
 class LimitExec : public PhysicalPlan {
  public:
   LimitExec(int64_t n, PhysPtr child) : n_(n), child_(std::move(child)) {}

@@ -13,17 +13,6 @@ int64_t JournalNowUnixMs() {
       .count();
 }
 
-// Round-robin shard assignment: each thread grabs a stable cursor once.
-// The mapping is journal-independent, so one thread hits the same shard
-// index in every journal — fine, since shards are symmetric.
-std::atomic<uint32_t> g_shard_cursor{0};
-
-size_t ThisThreadShard() {
-  thread_local const uint32_t slot =
-      g_shard_cursor.fetch_add(1, std::memory_order_relaxed);
-  return slot % EventJournal::kShards;
-}
-
 }  // namespace
 
 const char* EngineEventKindName(EngineEventKind kind) {
@@ -89,28 +78,30 @@ const char* EventSeverityName(EventSeverity severity) {
 }
 
 void EventJournal::Configure(size_t capacity) {
-  const size_t per_shard =
-      capacity == 0 ? 0 : std::max<size_t>(1, capacity / kShards);
-  // Disable emission first so writers racing the reset see either the old
-  // ring or the new one, never a half-cleared shard.
-  shard_capacity_.store(0, std::memory_order_seq_cst);
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.slots.clear();
-    if (per_shard > 0) shard.slots.resize(per_shard);
-    shard.head = 0;
+  // Disable emission first, then hold every stripe while the ring is
+  // replaced, so writers racing the reset see either the old ring or the
+  // new one, never a half-cleared one.
+  capacity_.store(0, std::memory_order_seq_cst);
+  std::unique_lock<std::mutex> locks[kStripes];
+  for (size_t i = 0; i < kStripes; ++i) {
+    locks[i] = std::unique_lock<std::mutex>(stripes_[i].mu);
+    // Ring slots i, i + kStripes, ... below `capacity`.
+    stripes_[i].slots.assign(capacity > i ? (capacity - i - 1) / kStripes + 1
+                                          : 0,
+                             Slot{});
+    stripes_[i].ring_capacity = capacity;
   }
   next_seq_.store(0, std::memory_order_relaxed);
   appended_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
-  shard_capacity_.store(per_shard, std::memory_order_seq_cst);
+  capacity_.store(capacity, std::memory_order_seq_cst);
 }
 
 void EventJournal::Emit(EngineEventKind kind, EventSeverity severity,
                         uint64_t query_id, int64_t value,
                         std::string_view detail) {
-  const size_t per_shard = shard_capacity_.load(std::memory_order_relaxed);
-  if (per_shard == 0) return;  // disabled: this load is the whole cost
+  const size_t capacity = capacity_.load(std::memory_order_relaxed);
+  if (capacity == 0) return;  // disabled: this load is the whole cost
 
   EngineEvent event;
   event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -123,30 +114,29 @@ void EventJournal::Emit(EngineEventKind kind, EventSeverity severity,
   if (n > 0) std::memcpy(event.detail, detail.data(), n);
   event.detail[n] = '\0';
 
-  Shard& shard = shards_[ThisThreadShard()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Configure may have swapped capacity under us; honour whatever the
-  // shard actually holds right now.
-  const size_t slots = shard.slots.size();
-  if (slots == 0) return;
-  if (shard.head >= slots) dropped_.fetch_add(1, std::memory_order_relaxed);
-  shard.slots[shard.head % slots] = event;
-  ++shard.head;
+  const size_t index = event.seq % capacity;
+  Stripe& stripe = stripes_[index % kStripes];
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  // Configure may have swapped the ring under us; an event of the old
+  // ring is simply not recorded.
+  if (stripe.ring_capacity != capacity) return;
   appended_.fetch_add(1, std::memory_order_relaxed);
+  // Every emission past the capacity loses exactly one event: the slot's
+  // older occupant, or this event if a newer one got there first.
+  if (event.seq >= capacity) dropped_.fetch_add(1, std::memory_order_relaxed);
+  Slot& slot = stripe.slots[index / kStripes];
+  if (slot.filled && slot.event.seq > event.seq) return;
+  slot.event = event;
+  slot.filled = true;
 }
 
 std::vector<EngineEvent> EventJournal::Snapshot() const {
   std::vector<EngineEvent> out;
   out.reserve(capacity());
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const size_t slots = shard.slots.size();
-    if (slots == 0) continue;  // disabled (head >= slots would div-by-zero)
-    const size_t valid = std::min<uint64_t>(shard.head, slots);
-    // Oldest-first within the shard; the global sort below interleaves.
-    const size_t start = shard.head >= slots ? shard.head % slots : 0;
-    for (size_t i = 0; i < valid; ++i) {
-      out.push_back(shard.slots[(start + i) % slots]);
+  for (const Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    for (const Slot& slot : stripe.slots) {
+      if (slot.filled) out.push_back(slot.event);
     }
   }
   std::sort(out.begin(), out.end(),

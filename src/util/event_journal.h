@@ -1,19 +1,21 @@
 #pragma once
-// Engine flight recorder: an always-on, bounded, sharded ring journal of
-// structured engine events (admission, tasks, spills, memory, watchdog,
-// query lifecycle). Emission is designed to cost nanoseconds when nobody
-// is reading: the disabled check is a single relaxed atomic load, and the
+// Engine flight recorder: an always-on, bounded ring journal of structured
+// engine events (admission, tasks, spills, memory, watchdog, query
+// lifecycle). Emission is designed to cost nanoseconds when nobody is
+// reading: the disabled check is a single relaxed atomic load, and the
 // enabled path is one relaxed fetch_add plus a copy of a small POD slot
-// into a per-shard ring under a shard-local mutex. Threads are spread
-// round-robin over the shards, so in steady state each shard mutex is
-// touched by very few writers and acquisition is an uncontended CAS;
-// readers (the `system.events` table, diagnostics bundles) briefly lock
-// each shard in turn to copy its tail out.
+// into the ring under one of a few striped mutexes. The ring is shared by
+// every thread and indexed by the event's global sequence number; slot i
+// lives in stripe i % kStripes, so consecutive events land on different
+// stripes and acquisition is mostly an uncontended CAS; readers (the
+// `system.events` table, diagnostics bundles) briefly lock each stripe in
+// turn to copy its slots out.
 //
-// Overwrite semantics: once a shard ring is full the oldest slot is
-// replaced and the global drop counter advances — the journal always
-// holds the most recent `capacity` events (per-shard granularity) and
-// never blocks or allocates on the emit path.
+// Overwrite semantics: event `seq` lives in slot `seq % capacity`, so the
+// journal always holds the most recent `capacity` events no matter which
+// threads emitted them — a run whose events fit in the capacity never
+// drops one — and each emission past the capacity advances the drop
+// counter. Emit never blocks on more than a slot copy and never allocates.
 
 #include <atomic>
 #include <cstdint>
@@ -80,10 +82,9 @@ struct EngineEvent {
 
 class EventJournal {
  public:
-  /// Number of independent rings. Writers are spread over shards
-  /// round-robin by a thread-local cursor; the total capacity knob is
-  /// divided evenly between them.
-  static constexpr size_t kShards = 8;
+  /// Number of stripes the ring's slots are dealt over; slot i lives in
+  /// stripe i % kStripes, under that stripe's mutex.
+  static constexpr size_t kStripes = 8;
 
   explicit EventJournal(size_t capacity = 0) { Configure(capacity); }
 
@@ -97,7 +98,7 @@ class EventJournal {
   void Configure(size_t capacity);
 
   bool enabled() const {
-    return shard_capacity_.load(std::memory_order_relaxed) > 0;
+    return capacity_.load(std::memory_order_relaxed) > 0;
   }
 
   /// Records one event. No-op (one atomic load) when the journal is
@@ -106,9 +107,8 @@ class EventJournal {
   void Emit(EngineEventKind kind, EventSeverity severity, uint64_t query_id,
             int64_t value, std::string_view detail);
 
-  /// Copies the current journal tail out of every shard and returns it
-  /// merged in global emission (seq) order. Bounded by the configured
-  /// capacity.
+  /// Copies the current journal contents out and returns them in global
+  /// emission (seq) order. Bounded by the configured capacity.
   std::vector<EngineEvent> Snapshot() const;
 
   /// Total events ever emitted (while enabled) since the last Configure.
@@ -121,24 +121,27 @@ class EventJournal {
   /// when no emitter is mid-flight.
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
-  /// Total configured capacity (sum over shards).
-  size_t capacity() const {
-    return shard_capacity_.load(std::memory_order_relaxed) * kShards;
-  }
+  /// Total configured capacity in events.
+  size_t capacity() const { return capacity_.load(std::memory_order_relaxed); }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<EngineEvent> slots;  // ring of size shard_capacity_
-    uint64_t head = 0;               // events ever appended to this shard
+  struct Slot {
+    EngineEvent event;
+    bool filled = false;
   };
 
-  // Per-shard slot count; 0 = disabled. Read on every Emit (relaxed).
-  std::atomic<size_t> shard_capacity_{0};
+  struct Stripe {
+    mutable std::mutex mu;
+    std::vector<Slot> slots;   // ring slot i at slots[i / kStripes]
+    size_t ring_capacity = 0;  // the ring these slots belong to
+  };
+
+  // Ring slot count; 0 = disabled. Read on every Emit (relaxed).
+  std::atomic<size_t> capacity_{0};
   std::atomic<uint64_t> next_seq_{0};
   std::atomic<uint64_t> appended_{0};
   std::atomic<uint64_t> dropped_{0};
-  Shard shards_[kShards];
+  Stripe stripes_[kStripes];
 };
 
 }  // namespace ssql

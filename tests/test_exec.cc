@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <random>
 
 #include "api/sql_context.h"
@@ -15,6 +16,7 @@
 #include "catalyst/planner/planner.h"
 #include "exec/join_exec.h"
 #include "exec/scan_exec.h"
+#include "test_temp_path.h"
 
 namespace ssql {
 namespace {
@@ -392,6 +394,128 @@ TEST_F(ExecOpsTest, SortIsStableAndHandlesNulls) {
       prev = r.GetInt64(1);
     }
   }
+}
+
+/// Row-for-row equality on rendered rows.
+std::vector<std::string> Rendered(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const Row& r : rows) out.push_back(r.ToString());
+  return out;
+}
+
+/// `ORDER BY ... LIMIT k` (a top-K) must equal the full sort cut to k.
+void ExpectTopKMatchesFullSort(SqlContext& ctx, const std::string& select,
+                               int64_t k) {
+  std::vector<Row> full = ctx.Sql(select).Collect();
+  if (full.size() > static_cast<size_t>(k)) full.resize(k);
+  std::vector<Row> top =
+      ctx.Sql(select + " LIMIT " + std::to_string(k)).Collect();
+  EXPECT_EQ(Rendered(top), Rendered(full)) << select << " LIMIT " << k;
+}
+
+/// The `data` fixture plus a row id `i`, so ties on the order keys expose
+/// which input row survived. Partitions hold ~167 rows each.
+void RegisterTopKTable(SqlContext& ctx) {
+  auto schema = StructType::Make({
+      Field("i", DataType::Int32(), false),
+      Field("k", DataType::Int32(), true),
+      Field("v", DataType::Int64(), true),
+  });
+  std::vector<Row> rows;
+  for (int i = 0; i < 500; ++i) {
+    Value key = (i % 50 == 0) ? Value::Null() : Value(int32_t(i % 7));
+    Value value = (i % 31 == 0) ? Value::Null() : Value(int64_t(i % 13));
+    rows.push_back(Row({Value(int32_t(i)), key, value}));
+  }
+  ctx.CreateDataFrame(schema, rows).RegisterTempTable("topk");
+}
+
+const char* const kTopKQueries[] = {
+    "SELECT i, k, v FROM topk ORDER BY k ASC, v DESC",  // nulls + multi-key
+    "SELECT i, k, v FROM topk ORDER BY v DESC",         // duplicate keys
+    "SELECT i FROM topk ORDER BY k DESC, v",            // projection above
+    "SELECT k, v, i FROM topk ORDER BY v, k DESC, i",
+};
+
+TEST(TopKTest, OrderByLimitMatchesFullSortCutToK) {
+  SqlContext ctx(TestConfig());
+  RegisterTopKTable(ctx);
+  for (const char* q : kTopKQueries) {
+    for (int64_t k : {0, 1, 7, 200, 499, 500, 1000}) {
+      ExpectTopKMatchesFullSort(ctx, q, k);
+    }
+  }
+}
+
+TEST(TopKTest, BudgetFallbackToExternalSortMatchesFullSort) {
+  // A budget too small for the kept rows: partitions fall back to the
+  // external sort (which spills) and take its first k.
+  EngineConfig config = TestConfig();
+  config.query_memory_limit_bytes = 2048;
+  config.spill_dir = TestTempPath("spill");
+  SqlContext ctx(config);
+  RegisterTopKTable(ctx);
+  for (const char* q : kTopKQueries) {
+    for (int64_t k : {1, 200, 1000}) ExpectTopKMatchesFullSort(ctx, q, k);
+  }
+  const int64_t spilled_before = ctx.exec().metrics().Get("memory.spill_bytes");
+  ctx.Sql(std::string(kTopKQueries[0]) + " LIMIT 200").Collect();
+  EXPECT_GT(ctx.exec().metrics().Get("memory.spill_bytes"), spilled_before);
+
+  // And the same answers without a budget.
+  SqlContext unbudgeted(TestConfig());
+  RegisterTopKTable(unbudgeted);
+  for (const char* q : kTopKQueries) {
+    EXPECT_EQ(Rendered(ctx.Sql(std::string(q) + " LIMIT 200").Collect()),
+              Rendered(unbudgeted.Sql(std::string(q) + " LIMIT 200").Collect()))
+        << q;
+  }
+}
+
+TEST(TopKTest, ExplainShowsTheLimitOnTheSortLine) {
+  SqlContext ctx(TestConfig());
+  RegisterTopKTable(ctx);
+  for (const char* q : {"SELECT i, v FROM topk ORDER BY v DESC LIMIT 3",
+                        "SELECT i FROM topk ORDER BY v DESC LIMIT 3"}) {
+    std::string plan = ctx.Sql(q).Explain();
+    size_t sort = plan.find("Sort [");
+    ASSERT_NE(sort, std::string::npos) << plan;
+    std::string line = plan.substr(sort, plan.find('\n', sort) - sort);
+    EXPECT_NE(line.find("limit=3"), std::string::npos) << plan;
+    EXPECT_EQ(plan.find("Limit"), std::string::npos) << plan;
+  }
+  // A bare LIMIT and a bare ORDER BY keep their own operators.
+  EXPECT_NE(ctx.Sql("SELECT i FROM topk LIMIT 3").Explain().find("Limit 3"),
+            std::string::npos);
+  EXPECT_EQ(ctx.Sql("SELECT i FROM topk ORDER BY i").Explain().find("limit="),
+            std::string::npos);
+}
+
+TEST(TopKTest, CancellationStopsATopKMidSort) {
+  // The order key is a UDF that cancels the query on its 100th call; the
+  // top-K's comparator polls cancellation, so the query stops within a
+  // poll interval instead of evaluating every row.
+  EngineConfig config = TestConfig();
+  config.num_threads = 1;
+  config.default_parallelism = 1;
+  SqlContext ctx(config);
+  auto schema = StructType::Make({Field("x", DataType::Int64(), false)});
+  std::vector<Row> rows;
+  for (int i = 0; i < 20000; ++i) rows.push_back(Row({Value(int64_t(i))}));
+  ctx.CreateDataFrame(schema, rows).RegisterTempTable("big");
+  std::atomic<QueryContext*> query{nullptr};
+  std::atomic<int> calls{0};
+  ctx.RegisterUdf("cancelling_key", DataType::Int64(),
+                  [&](const std::vector<Value>& args) {
+                    if (calls.fetch_add(1) == 100) query.load()->Cancel("stop");
+                    return Value(-args[0].i64());
+                  });
+  DataFrame df = ctx.Sql("SELECT x FROM big ORDER BY cancelling_key(x) LIMIT 5");
+  QueryOptions options;
+  options.on_start = [&](QueryContext& q) { query.store(&q); };
+  EXPECT_THROW(ctx.Execute(df.plan(), options).Collect(), ExecutionError);
+  EXPECT_LT(calls.load(), 1000);
 }
 
 TEST_F(ExecOpsTest, SampleIsDeterministicBySeed) {

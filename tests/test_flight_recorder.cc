@@ -104,22 +104,55 @@ TEST(EventJournalTest, LongDetailIsTruncatedNotRejected) {
 }
 
 TEST(EventJournalTest, WraparoundKeepsNewestAndCountsDrops) {
-  // 16 total slots over 8 shards = 2 per shard; a single emitting thread
-  // lands in exactly one shard, so its ring holds the 2 newest events.
+  // 16 slots, 20 events: the ring holds the 16 newest, and each of the 4
+  // emissions past the capacity counts one drop.
   EventJournal journal(16);
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 20; ++i) {
     journal.Emit(EngineEventKind::kTaskStart, EventSeverity::kDebug, 1, i,
                  "stage");
   }
-  EXPECT_EQ(journal.appended(), 10u);
-  EXPECT_EQ(journal.dropped(), 8u);
+  EXPECT_EQ(journal.appended(), 20u);
+  EXPECT_EQ(journal.dropped(), 4u);
   auto events = journal.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
+  ASSERT_EQ(events.size(), 16u);
   EXPECT_EQ(journal.appended() - journal.dropped(), events.size());
   // The survivors are the newest, in seq order.
-  EXPECT_EQ(events[0].value, 8);
-  EXPECT_EQ(events[1].value, 9);
-  EXPECT_LT(events[0].seq, events[1].seq);
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].value, static_cast<int64_t>(i) + 4);
+    if (i > 0) EXPECT_LT(events[i - 1].seq, events[i].seq);
+  }
+}
+
+TEST(EventJournalTest, OneThreadFillsTheWholeCapacityWithoutDrops) {
+  // Every event from a single thread: the journal is shared, not split
+  // into per-thread shards, so all `capacity` events survive.
+  EventJournal journal(1000);
+  for (int i = 0; i < 1000; ++i) {
+    journal.Emit(EngineEventKind::kSpillWrite, EventSeverity::kDebug, 7, i,
+                 "one-thread");
+  }
+  EXPECT_EQ(journal.dropped(), 0u);
+  auto events = journal.Snapshot();
+  ASSERT_EQ(events.size(), 1000u);
+  EXPECT_EQ(events.front().value, 0);
+  EXPECT_EQ(events.back().value, 999);
+}
+
+TEST(EventJournalTest, QueryOnOneWorkerWithinCapacityNeverDrops) {
+  // A many-task GROUP BY on a single worker thread emits all its task
+  // events from that thread — far more than an eighth of the capacity,
+  // but less than all of it — so none may be dropped.
+  EngineConfig config = SmallConfig();
+  config.num_threads = 1;
+  config.default_parallelism = 200;
+  SqlContext ctx(config);
+  RegisterNumbers(ctx, 2000);
+  ctx.Sql("SELECT k, sum(v) FROM numbers GROUP BY k").Collect();
+  const EventJournal& journal = ctx.exec().journal();
+  ASSERT_GT(journal.appended(), journal.capacity() / 8);
+  ASSERT_LE(journal.appended(), journal.capacity());
+  EXPECT_EQ(journal.dropped(), 0u);
+  EXPECT_EQ(journal.Snapshot().size(), journal.appended());
 }
 
 TEST(EventJournalTest, ReconfigureDiscardsAndResets) {
@@ -138,7 +171,7 @@ TEST(EventJournalTest, ReconfigureDiscardsAndResets) {
   EXPECT_EQ(journal.appended(), 0u);
 }
 
-// The ThreadSanitizer stress: writers on every shard racing snapshot
+// The ThreadSanitizer stress: writers on every stripe racing snapshot
 // readers and a mid-flight Configure. The post-join accounting invariant
 // (appended - dropped == snapshot size) must hold exactly once the
 // emitters are quiesced.

@@ -379,6 +379,34 @@ TEST(CardinalityTest, FilterSelectivityFromNdv) {
   }
 }
 
+TEST(CardinalityTest, UnanalyzedGroupByEstimatesAnUpperBoundNotOne) {
+  // A q3-shaped query (join, GROUP BY a string key, ORDER BY ... LIMIT 1)
+  // over never-analyzed tables: no key has an NDV, so the aggregate's
+  // estimate is its input's row count, labelled a heuristic — never 1.
+  SqlContext ctx;
+  std::string dir = ScratchDir("unanalyzed-agg");
+  WriteCsv(dir + "/f.csv", 2000, 500);
+  WriteCsv(dir + "/d.csv", 200, 200);
+  ctx.RegisterTable("f", ctx.ReadCsv(dir + "/f.csv"));
+  ctx.RegisterTable("d", ctx.ReadCsv(dir + "/d.csv"));
+  std::string plan =
+      ctx.Sql("EXPLAIN ANALYZE SELECT f.s, sum(f.k) AS total FROM f JOIN d "
+              "ON f.k = d.k GROUP BY f.s ORDER BY total DESC LIMIT 1")
+          .Collect()[0]
+          .GetString(0);
+  size_t agg_lines = 0;
+  for (size_t pos = plan.find("HashAggregate"); pos != std::string::npos;
+       pos = plan.find("HashAggregate", pos + 1)) {
+    std::string line = plan.substr(pos, plan.find('\n', pos) - pos);
+    size_t est = line.find("est_rows=");
+    if (est == std::string::npos) continue;  // no estimate at all is honest
+    ++agg_lines;
+    EXPECT_EQ(line.find("est_rows=1 "), std::string::npos) << line;
+    EXPECT_NE(line.find("heuristic"), std::string::npos) << line;
+  }
+  EXPECT_GT(agg_lines, 0u) << plan;
+}
+
 TEST(CardinalityTest, SpillingJoinAggReportsEstimatesOnEveryOperator) {
   std::string dir = ScratchDir("spill");
   // The join's build side (d, 20000 distinct keys) dwarfs the 16 KiB

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <random>
 
@@ -146,10 +147,150 @@ TEST(VectorizedExecTest, FastPathGroupedByIntKey) {
 }
 
 TEST(VectorizedExecTest, GenericFallbackGroupedByStringKey) {
-  // String grouping key: the batched generic fallback (boxed fold over
-  // live rows) must agree with the row path too.
+  // A string key plus a second key is outside the typed fast paths: the
+  // batched generic fallback (boxed fold over live rows) must agree with
+  // the row path too.
   ExpectBatchedMatchesRows(
-      "SELECT s, count(*), sum(v), avg(d) FROM t GROUP BY s", 500, 64);
+      "SELECT s, k, count(*), sum(v), avg(d) FROM t GROUP BY s, k", 500, 64);
+}
+
+/// Registers `g` (string keys: nulls, '', short keys, and keys longer than
+/// the 15-byte small-string buffer; about 1500 distinct, more than one
+/// 1024-row batch holds) with nullable `v`/`d` payloads and an int join
+/// key `j`, plus a small `dim` table, both cached.
+void SetupStringKeyTables(SqlContext& ctx) {
+  auto schema = StructType::Make({
+      Field("key", DataType::String(), true),
+      Field("j", DataType::Int32(), false),
+      Field("v", DataType::Int64(), true),
+      Field("d", DataType::Double(), true),
+  });
+  std::mt19937_64 rng(29);
+  std::vector<Row> data;
+  for (int i = 0; i < 6000; ++i) {
+    Value key;
+    switch (rng() % 6) {
+      case 0:
+        key = Value::Null();
+        break;
+      case 1:
+        key = Value(std::string());
+        break;
+      case 2:
+        key = Value("k" + std::to_string(rng() % 40));
+        break;
+      default:
+        key = Value("a-group-key-longer-than-sso-" +
+                    std::to_string(rng() % 1500));
+    }
+    Value v = rng() % 9 == 0 ? Value::Null()
+                             : Value(static_cast<int64_t>(rng() % 100000));
+    Value d = rng() % 10 == 0
+                  ? Value::Null()
+                  : Value(static_cast<double>(rng() % 1000003) / 7.0);
+    data.push_back(Row({key, Value(static_cast<int32_t>(rng() % 8)), v, d}));
+  }
+  DataFrame g = ctx.CreateDataFrame(schema, data);
+  g.RegisterTempTable("g");
+  g.Cache();
+  auto dim_schema = StructType::Make({
+      Field("id", DataType::Int32(), false),
+      Field("w", DataType::Double(), false),
+  });
+  std::vector<Row> dim_rows;
+  for (int i = 0; i < 6; ++i) {
+    dim_rows.push_back(Row({Value(int32_t(i)), Value(i * 1.25 + 0.1)}));
+  }
+  DataFrame dim = ctx.CreateDataFrame(dim_schema, dim_rows);
+  dim.RegisterTempTable("dim");
+  dim.Cache();
+}
+
+/// Rows sorted by their rendering, for order-insensitive comparison.
+std::vector<Row> SortedRows(std::vector<Row> rows) {
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return a.ToString() < b.ToString();
+  });
+  return rows;
+}
+
+/// Bit-for-bit equality (doubles compared by their bits, not a rendering).
+void ExpectBitIdentical(const std::vector<Row>& got,
+                        const std::vector<Row>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << what;
+    for (size_t c = 0; c < got[r].size(); ++c) {
+      const Value& a = got[r].Get(c);
+      const Value& b = want[r].Get(c);
+      ASSERT_EQ(a.is_null(), b.is_null()) << what << " row " << r;
+      if (a.is_null()) continue;
+      ASSERT_EQ(a.type_id(), b.type_id()) << what << " row " << r;
+      if (a.type_id() == TypeId::kDouble) {
+        double x = a.f64(), y = b.f64();
+        ASSERT_EQ(std::memcmp(&x, &y, sizeof x), 0)
+            << what << " row " << r << ": " << x << " vs " << y;
+      } else {
+        ASSERT_TRUE(a.Equals(b)) << what << " row " << r << ": "
+                                 << a.ToString() << " vs " << b.ToString();
+      }
+    }
+  }
+}
+
+/// Runs `sql` under every combination of batch size, vectorization,
+/// codegen and memory budget, against the generic path (codegen off, row
+/// path, no budget) as the oracle.
+void ExpectStringKeyResultsIdentical(const std::string& sql) {
+  EngineConfig oracle_config = BaseConfig(false);
+  oracle_config.codegen_enabled = false;
+  SqlContext oracle(oracle_config);
+  SetupStringKeyTables(oracle);
+  const std::vector<Row> want = SortedRows(oracle.Sql(sql).Collect());
+  ASSERT_FALSE(want.empty()) << sql;
+  for (size_t batch_size : {size_t{1}, size_t{1024}}) {
+    for (bool vectorized : {false, true}) {
+      for (bool codegen : {false, true}) {
+        for (bool budget : {false, true}) {
+          EngineConfig config = BaseConfig(vectorized, batch_size);
+          config.codegen_enabled = codegen;
+          if (budget) config.query_memory_limit_bytes = 64 << 20;
+          SqlContext ctx(config);
+          SetupStringKeyTables(ctx);
+          ExpectBitIdentical(
+              SortedRows(ctx.Sql(sql).Collect()), want,
+              sql + " (batch_size=" + std::to_string(batch_size) +
+                  ", vectorized=" + std::to_string(vectorized) +
+                  ", codegen=" + std::to_string(codegen) +
+                  ", budget=" + std::to_string(budget) + ")");
+        }
+      }
+    }
+  }
+}
+
+TEST(VectorizedExecTest, StringKeyFastPathMatchesGenericPath) {
+  // Null, empty and long keys over the batched partial (cached scan) and
+  // the typed final.
+  ExpectStringKeyResultsIdentical(
+      "SELECT key, count(*), count(v), sum(v), avg(d), min(v), max(d), "
+      "sum(d), min(d), max(j), avg(v) FROM g GROUP BY key");
+}
+
+TEST(VectorizedExecTest, ComputedStringKeyFastPathMatchesGenericPath) {
+  // Q2's shape: the key is a substr of a string column, so its bytes come
+  // from the evaluator's scratch rather than the input.
+  ExpectStringKeyResultsIdentical(
+      "SELECT substr(key, 1, 8), sum(v), count(*) FROM g "
+      "WHERE j <> 3 GROUP BY substr(key, 1, 8)");
+}
+
+TEST(VectorizedExecTest, StringKeyOverJoinRowsMatchesGenericPath) {
+  // Q3's shape: the partial aggregate's input is a join's output rows, so
+  // the row form of the fast path reads the key from boxed rows.
+  ExpectStringKeyResultsIdentical(
+      "SELECT g.key, sum(g.v), avg(dim.w), count(*) FROM g JOIN dim "
+      "ON g.j = dim.id GROUP BY g.key");
 }
 
 TEST(VectorizedExecTest, CountDistinctSurvivesAccumulatorTransport) {
