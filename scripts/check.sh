@@ -23,7 +23,7 @@ cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure -j "$(nproc)" --repeat until-fail:3)
 
 cmake -B build-sanitize -S . -DSSQL_SANITIZE=address >/dev/null
-cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_exec --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_datasources >/dev/null
+cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_exec --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_datasources --target test_write_path >/dev/null
 ./build-sanitize/tests/test_fault_tolerance
 ./build-sanitize/tests/test_memory
 ./build-sanitize/tests/test_observability
@@ -45,6 +45,9 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 # file buffer (payload views, bounds-checked headers), and the truncated-
 # and deleted-file cases take those bounds checks' error paths.
 ./build-sanitize/tests/test_datasources
+# Write path under ASan: the colf writer encodes row groups into per-task
+# buffers the one-pass encoder fills through raw pointers to exact sizes.
+./build-sanitize/tests/test_write_path
 # Flight recorder under ASan: the journal's fixed-size slots and detail
 # truncation are raw-buffer surface; bundle writing walks directories.
 ./build-sanitize/tests/test_flight_recorder
@@ -61,7 +64,7 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 # re-registration and the copy-on-write staleness swap are its TSan
 # surface, and the HLL/histogram buffers its ASan surface.
 cmake -B build-tsan -S . -DSSQL_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_exec --target test_property_end_to_end --target test_flight_recorder >/dev/null
+cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_exec --target test_property_end_to_end --target test_flight_recorder --target test_columnar --target test_write_path >/dev/null
 ./build-tsan/tests/test_concurrency
 ./build-tsan/tests/test_system_tables
 ./build-tsan/tests/test_fault_tolerance
@@ -73,6 +76,10 @@ cmake --build build-tsan -j --target test_concurrency --target test_system_table
 ./build-tsan/tests/test_vectorized
 ./build-tsan/tests/test_exec
 ./build-tsan/tests/test_property_end_to_end
+# Encoding under TSan: cache builds encode partitions and colf writes
+# encode row groups as pool tasks, each into its own output slot.
+./build-tsan/tests/test_columnar
+./build-tsan/tests/test_write_path
 # Flight recorder under TSan: emitters on every engine thread race
 # snapshot readers, the sampler thread, and a mid-flight reconfigure.
 ./build-tsan/tests/test_flight_recorder

@@ -179,7 +179,8 @@ Row DataFrame::First() const {
 
 void DataFrame::Save(const std::string& provider,
                      const std::map<std::string, std::string>& options) const {
-  DataSourceRegistry::Global().Write(provider, options, schema(), Collect());
+  DataSourceRegistry::Global().Write(provider, options, schema(), Collect(),
+                                     &ctx_->exec().pool());
   // Rewriting a destination through the write path invalidates any ANALYZE
   // TABLE stats recorded against it; source display names are
   // "<provider>:<location>", where the location option is provider-specific.

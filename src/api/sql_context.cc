@@ -364,9 +364,8 @@ PhysPtr SqlContext::PlanPhysical(const PlanPtr& optimized,
 }
 
 PlanPtr SqlContext::SubstituteCached(const PlanPtr& plan) const {
-  if (cache_.TotalMemoryBytes() == 0 && !cache_.Get(plan->TreeString())) {
-    // Fast path: nothing cached.
-  }
+  // Fast path: with nothing cached, skip rendering every subtree's key.
+  if (cache_.num_entries() == 0) return plan;
   return plan->TransformUp([this](const PlanPtr& p) -> PlanPtr {
     auto table = cache_.Get(p->TreeString());
     if (!table) return p;
@@ -453,7 +452,8 @@ void SqlContext::CachePlan(const PlanPtr& analyzed_plan) {
     fields.emplace_back(attr->name(), attr->data_type(), attr->nullable());
   }
   SchemaPtr schema = StructType::Make(std::move(fields));
-  cache_.Put(analyzed_plan->TreeString(), CachedTable::Build(schema, data));
+  cache_.Put(analyzed_plan->TreeString(),
+             CachedTable::Build(schema, data, &exec_.pool()));
 }
 
 void SqlContext::UncachePlan(const PlanPtr& analyzed_plan) {

@@ -108,7 +108,7 @@ std::string LocalRelation::Describe() const {
     if (i > 0) s += ", ";
     s += output_[i]->ToString();
   }
-  s += "], rows=" + std::to_string(rows_->size());
+  s += "], rows=" + std::to_string(rows().size());
   return s;
 }
 

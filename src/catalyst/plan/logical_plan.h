@@ -9,6 +9,7 @@
 
 #include "catalyst/expr/attribute.h"
 #include "catalyst/expr/expression.h"
+#include "engine/dataset.h"
 #include "types/schema.h"
 
 namespace ssql {
@@ -121,7 +122,8 @@ class UnresolvedRelation : public LogicalPlan {
 class LocalRelation : public LogicalPlan {
  public:
   LocalRelation(AttributeVector output, std::shared_ptr<const std::vector<Row>> rows)
-      : output_(std::move(output)), rows_(std::move(rows)) {}
+      : output_(std::move(output)),
+        table_(std::make_shared<const LocalTable>(std::move(rows))) {}
 
   static PlanPtr Make(AttributeVector output, std::vector<Row> rows) {
     return std::make_shared<LocalRelation>(
@@ -130,8 +132,12 @@ class LocalRelation : public LogicalPlan {
   /// Builds output attributes from a schema, assigning fresh expr IDs.
   static PlanPtr FromSchema(const SchemaPtr& schema, std::vector<Row> rows);
 
-  const std::vector<Row>& rows() const { return *rows_; }
-  std::shared_ptr<const std::vector<Row>> shared_rows() const { return rows_; }
+  const std::vector<Row>& rows() const { return table_->rows(); }
+  std::shared_ptr<const std::vector<Row>> shared_rows() const {
+    return table_->shared_rows();
+  }
+  /// The rows plus their partitioned views, shared with LocalTableScanExec.
+  const std::shared_ptr<const LocalTable>& table() const { return table_; }
 
   std::string NodeName() const override { return "LocalRelation"; }
   PlanVector Children() const override { return {}; }
@@ -141,7 +147,7 @@ class LocalRelation : public LogicalPlan {
 
  private:
   AttributeVector output_;
-  std::shared_ptr<const std::vector<Row>> rows_;
+  std::shared_ptr<const LocalTable> table_;
 };
 
 /// Minimal interface a data source relation exposes to the planner; the

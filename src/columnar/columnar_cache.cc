@@ -1,25 +1,28 @@
 #include "columnar/columnar_cache.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace ssql {
 
 std::shared_ptr<CachedTable> CachedTable::Build(const SchemaPtr& schema,
-                                                const RowDataset& data) {
+                                                const RowDataset& data,
+                                                ThreadPool* pool) {
   auto table = std::make_shared<CachedTable>();
   table->schema_ = schema;
-  for (const auto& partition : data.partitions()) {
-    Chunk chunk;
-    chunk.num_rows = static_cast<uint32_t>(partition->rows.size());
-    table->num_rows_ += partition->rows.size();
-    for (size_t c = 0; c < schema->num_fields(); ++c) {
-      ColumnVector col(schema->field(c).type);
-      col.Reserve(partition->rows.size());
-      for (const Row& row : partition->rows) col.Append(row.Get(c));
-      chunk.columns.push_back(EncodeColumn(col));
-    }
-    table->chunks_.push_back(std::move(chunk));
+  table->chunks_.resize(data.num_partitions());
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(data.num_partitions());
+  for (size_t p = 0; p < data.num_partitions(); ++p) {
+    table->num_rows_ += data.partition(p)->rows.size();
+    tasks.push_back([&schema, &rows = data.partition(p)->rows,
+                     &chunk = table->chunks_[p]] {
+      chunk.num_rows = static_cast<uint32_t>(rows.size());
+      chunk.columns =
+          EncodeRows(*schema, rows.data(), rows.data() + rows.size());
+    });
   }
+  RunAllOn(pool, std::move(tasks));
   return table;
 }
 
@@ -73,6 +76,11 @@ void CacheManager::Remove(const std::string& key) {
 void CacheManager::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
+}
+
+size_t CacheManager::num_entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
 size_t CacheManager::TotalMemoryBytes() const {

@@ -10,6 +10,7 @@
 #include "columnar/encoding.h"
 #include "engine/dataset.h"
 #include "types/schema.h"
+#include "util/thread_pool.h"
 
 namespace ssql {
 
@@ -19,9 +20,12 @@ namespace ssql {
 /// and decode only what a query touches.
 class CachedTable {
  public:
-  /// Builds from a row dataset. Encoding is chosen per column chunk.
+  /// Builds from a row dataset. Encoding is chosen per column chunk; each
+  /// partition is encoded as one task on `pool` (inline when null), and the
+  /// result does not depend on which.
   static std::shared_ptr<CachedTable> Build(const SchemaPtr& schema,
-                                            const RowDataset& data);
+                                            const RowDataset& data,
+                                            ThreadPool* pool = nullptr);
 
   const SchemaPtr& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
@@ -68,6 +72,8 @@ class CacheManager {
   std::shared_ptr<const CachedTable> Get(const std::string& key) const;
   void Remove(const std::string& key);
   void Clear();
+  /// Number of cached tables (cheap; SubstituteCached's empty check).
+  size_t num_entries() const;
   size_t TotalMemoryBytes() const;
 
  private:

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "columnar/column_vector.h"
+#include "types/row.h"
 
 namespace ssql {
 
@@ -40,6 +41,11 @@ struct EncodedColumn {
 /// Encodes a column, choosing the cheapest of plain / RLE / dictionary by
 /// measured payload size. Complex-typed columns become kBoxed.
 EncodedColumn EncodeColumn(const ColumnVector& column);
+
+/// Encodes rows [begin, end) column by column (EncodeColumn per field of
+/// `schema`): one cache chunk or colf row group.
+std::vector<EncodedColumn> EncodeRows(const StructType& schema,
+                                      const Row* begin, const Row* end);
 
 /// Encodes with a specific scheme (exposed for tests and the encoding
 /// ablation bench). Falls back to plain for unsupported combinations.

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sys/stat.h>
 
-#include "columnar/column_vector.h"
 #include "datasources/chunk_scan.h"
 #include "util/fault_points.h"
 #include "util/string_util.h"
@@ -172,30 +172,39 @@ Dataset ScanColf(QueryContext& ctx, const std::string& path,
 }  // namespace
 
 void WriteColfFile(const std::string& path, const SchemaPtr& schema,
-                   const std::vector<Row>& rows, size_t row_group_size) {
+                   const std::vector<Row>& rows, size_t row_group_size,
+                   ThreadPool* pool) {
   if (row_group_size == 0) row_group_size = 4096;
-  std::string out;
-  out.append(kMagic, kMagicLen);
+  std::string header;
+  header.append(kMagic, kMagicLen);
   std::string schema_str = SchemaToString(*schema);
-  PutU32(&out, static_cast<uint32_t>(schema_str.size()));
-  out += schema_str;
+  PutU32(&header, static_cast<uint32_t>(schema_str.size()));
+  header += schema_str;
   uint32_t num_groups =
       static_cast<uint32_t>((rows.size() + row_group_size - 1) / row_group_size);
-  PutU32(&out, num_groups);
+  PutU32(&header, num_groups);
+  std::vector<std::string> groups(num_groups);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(num_groups);
   for (uint32_t g = 0; g < num_groups; ++g) {
     size_t begin = g * row_group_size;
     size_t end = std::min(rows.size(), begin + row_group_size);
-    PutU32(&out, static_cast<uint32_t>(end - begin));
-    for (size_t c = 0; c < schema->num_fields(); ++c) {
-      ColumnVector col(schema->field(c).type);
-      col.Reserve(end - begin);
-      for (size_t r = begin; r < end; ++r) col.Append(rows[r].Get(c));
-      SerializeColumn(EncodeColumn(col), &out);
-    }
+    tasks.push_back([&, begin, end, out = &groups[g]] {
+      PutU32(out, static_cast<uint32_t>(end - begin));
+      for (const EncodedColumn& column :
+           EncodeRows(*schema, rows.data() + begin, rows.data() + end)) {
+        SerializeColumn(column, out);
+      }
+    });
   }
+  RunAllOn(pool, std::move(tasks));
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f.good()) throw IoError("cannot open colf file for write: " + path);
-  f.write(out.data(), static_cast<std::streamsize>(out.size()));
+  f.write(header.data(), static_cast<std::streamsize>(header.size()));
+  for (const std::string& group : groups) {
+    f.write(group.data(), static_cast<std::streamsize>(group.size()));
+  }
+  CloseWrittenFile(f, "colf", path);
 }
 
 SchemaPtr ReadColfSchema(const std::string& path) {
@@ -263,7 +272,7 @@ void RegisterColfSource(DataSourceRegistry& registry) {
   });
   registry.RegisterWriter(
       "colf", [](const DataSourceOptions& options, const SchemaPtr& schema,
-                 const std::vector<Row>& rows) {
+                 const std::vector<Row>& rows, ThreadPool* pool) {
         auto it = options.find("path");
         if (it == options.end()) {
           throw IoError("colf writer requires a 'path' option");
@@ -273,7 +282,7 @@ void RegisterColfSource(DataSourceRegistry& registry) {
           int64_t v = 0;
           if (ParseInt64(g->second, &v) && v > 0) group = static_cast<size_t>(v);
         }
-        WriteColfFile(it->second, schema, rows, group);
+        WriteColfFile(it->second, schema, rows, group, pool);
       });
 }
 

@@ -7,6 +7,7 @@
 
 #include "columnar/encoding.h"
 #include "datasources/data_source.h"
+#include "util/thread_pool.h"
 
 namespace ssql {
 
@@ -59,9 +60,13 @@ class ColfRelation : public BaseRelation,
   SchemaPtr schema_;
 };
 
-/// Writes rows into a colf file with `row_group_size` rows per group.
+/// Writes rows into a colf file with `row_group_size` rows per group. Each
+/// row group is encoded as one task on `pool` (inline when null) and the
+/// groups are written in order, so the file does not depend on which.
+/// Throws IoError naming the path when the file cannot be written in full.
 void WriteColfFile(const std::string& path, const SchemaPtr& schema,
-                   const std::vector<Row>& rows, size_t row_group_size = 4096);
+                   const std::vector<Row>& rows, size_t row_group_size = 4096,
+                   ThreadPool* pool = nullptr);
 
 /// Reads just the schema from a colf file header.
 SchemaPtr ReadColfSchema(const std::string& path);

@@ -297,6 +297,7 @@ void CsvRelation::Write(const std::string& path, const SchemaPtr& schema,
     }
     out << "\n";
   }
+  CloseWrittenFile(out, "CSV", path);
 }
 
 void RegisterCsvSource(DataSourceRegistry& registry) {
@@ -305,7 +306,7 @@ void RegisterCsvSource(DataSourceRegistry& registry) {
   });
   registry.RegisterWriter(
       "csv", [](const DataSourceOptions& options, const SchemaPtr& schema,
-                const std::vector<Row>& rows) {
+                const std::vector<Row>& rows, ThreadPool*) {
         auto it = options.find("path");
         if (it == options.end()) {
           throw IoError("csv writer requires a 'path' option");

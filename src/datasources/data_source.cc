@@ -1,6 +1,7 @@
 #include "datasources/data_source.h"
 
 #include <cstdio>
+#include <fstream>
 
 #include "catalyst/expr/complex_types.h"
 #include "catalyst/expr/literal.h"
@@ -231,7 +232,8 @@ void DataSourceRegistry::RegisterWriter(const std::string& name,
 void DataSourceRegistry::Write(const std::string& provider,
                                const DataSourceOptions& options,
                                const SchemaPtr& schema,
-                               const std::vector<Row>& rows) {
+                               const std::vector<Row>& rows,
+                               ThreadPool* pool) {
   DataSourceWriter writer;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -242,7 +244,17 @@ void DataSourceRegistry::Write(const std::string& provider,
     }
     writer = it->second;
   }
-  writer(options, schema, rows);
+  writer(options, schema, rows, pool);
+}
+
+void CloseWrittenFile(std::ofstream& out, const std::string& format,
+                      const std::string& path) {
+  bool ok = out.good();
+  out.close();
+  if (!ok || out.fail()) {
+    throw IoError("I/O error writing " + format + " file: " + path +
+                  " (file is incomplete)");
+  }
 }
 
 std::shared_ptr<BaseRelation> DataSourceRegistry::CreateRelation(

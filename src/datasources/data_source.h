@@ -2,6 +2,7 @@
 #define SSQL_DATASOURCES_DATA_SOURCE_H_
 
 #include <functional>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,6 +17,7 @@
 #include "engine/query_context.h"
 #include "types/row.h"
 #include "types/schema.h"
+#include "util/thread_pool.h"
 
 namespace ssql {
 
@@ -167,10 +169,12 @@ using DataSourceFactory =
 
 /// Write-side factory (Section 4.4.1: "similar interfaces exist for
 /// writing data to an existing or new table. These are simpler because
-/// Spark SQL just provides an RDD of Row objects to be written").
+/// Spark SQL just provides an RDD of Row objects to be written"). `pool` is
+/// the writing SqlContext's worker pool, or null outside one; a writer may
+/// spread its encoding work over it.
 using DataSourceWriter =
     std::function<void(const DataSourceOptions& options, const SchemaPtr& schema,
-                       const std::vector<Row>& rows)>;
+                       const std::vector<Row>& rows, ThreadPool* pool)>;
 
 /// Registry of data source providers by short name ("csv", "json", "colf",
 /// "kvdb"). Third-party sources register here — Catalyst's data source
@@ -188,9 +192,10 @@ class DataSourceRegistry {
                                                const DataSourceOptions& options);
 
   /// Writes rows through a provider's write path; throws AnalysisError for
-  /// providers without write support.
+  /// providers without write support. `pool` is handed to the writer.
   void Write(const std::string& provider, const DataSourceOptions& options,
-             const SchemaPtr& schema, const std::vector<Row>& rows);
+             const SchemaPtr& schema, const std::vector<Row>& rows,
+             ThreadPool* pool = nullptr);
 
   std::vector<std::string> ProviderNames() const;
 
@@ -201,6 +206,12 @@ class DataSourceRegistry {
   std::map<std::string, DataSourceFactory> factories_;
   std::map<std::string, DataSourceWriter> writers_;
 };
+
+/// Checks a file writer's stream after its last write, closes it, and
+/// checks again (a full disk often surfaces only at the final flush):
+/// throws IoError naming the `format` and `path` if any byte was lost.
+void CloseWrittenFile(std::ofstream& out, const std::string& format,
+                      const std::string& path);
 
 /// Zone-map check: can a column chunk with these min/max statistics
 /// possibly contain rows matching `filter`? Shared by the colf row-group

@@ -182,7 +182,7 @@ void RegisterJsonSource(DataSourceRegistry& registry) {
   });
   registry.RegisterWriter(
       "json", [](const DataSourceOptions& options, const SchemaPtr& schema,
-                 const std::vector<Row>& rows) {
+                 const std::vector<Row>& rows, ThreadPool*) {
         auto it = options.find("path");
         if (it == options.end()) {
           throw IoError("json writer requires a 'path' option");
@@ -194,6 +194,7 @@ void RegisterJsonSource(DataSourceRegistry& registry) {
         for (const Row& row : rows) {
           out << RowToJson(row, *schema) << "\n";
         }
+        CloseWrittenFile(out, "JSON", it->second);
       });
 }
 

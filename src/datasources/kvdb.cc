@@ -140,7 +140,7 @@ void RegisterKvdbSource(DataSourceRegistry& registry) {
   });
   registry.RegisterWriter(
       "kvdb", [](const DataSourceOptions& options, const SchemaPtr& schema,
-                 const std::vector<Row>& rows) {
+                 const std::vector<Row>& rows, ThreadPool*) {
         auto it = options.find("table");
         if (it == options.end()) {
           throw IoError("kvdb writer requires a 'table' option");

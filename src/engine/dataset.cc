@@ -25,6 +25,18 @@ RowDataset RowDataset::FromRows(std::vector<Row> rows, size_t num_partitions) {
   return RowDataset(std::move(parts));
 }
 
+RowDataset LocalTable::Partitioned(size_t num_partitions) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = partitioned_.find(num_partitions);
+  if (it == partitioned_.end()) {
+    it = partitioned_
+             .emplace(num_partitions,
+                      RowDataset::FromRows(*rows_, num_partitions))
+             .first;
+  }
+  return it->second;
+}
+
 RowDataset RowDataset::SinglePartition(std::vector<Row> rows) {
   auto part = std::make_shared<RowPartition>();
   part->rows = std::move(rows);

@@ -2,7 +2,9 @@
 #define SSQL_ENGINE_DATASET_H_
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "types/row.h"
@@ -65,6 +67,30 @@ class RowDataset {
 
  private:
   std::vector<RowPartitionPtr> partitions_;
+};
+
+/// A LocalRelation's in-memory rows with their partitioned views.
+/// Partitioning copies every row, so the view for each partition count is
+/// built on first scan and then kept exactly as long as the table: every
+/// plan over one DataFrame shares it, and it is freed with the DataFrame.
+class LocalTable {
+ public:
+  explicit LocalTable(std::shared_ptr<const std::vector<Row>> rows)
+      : rows_(std::move(rows)) {}
+
+  const std::vector<Row>& rows() const { return *rows_; }
+  const std::shared_ptr<const std::vector<Row>>& shared_rows() const {
+    return rows_;
+  }
+
+  /// The rows range-split into `num_partitions` (RowDataset::FromRows).
+  /// Thread-safe; concurrent first scans build the view once.
+  RowDataset Partitioned(size_t num_partitions) const;
+
+ private:
+  std::shared_ptr<const std::vector<Row>> rows_;
+  mutable std::mutex mu_;
+  mutable std::map<size_t, RowDataset> partitioned_;
 };
 
 }  // namespace ssql

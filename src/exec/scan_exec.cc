@@ -14,54 +14,8 @@ BoundCompiled BindAndCompile(const ExprPtr& expr, const AttributeVector& input,
   return out;
 }
 
-namespace {
-
-/// Small LRU of partitioned local tables. The backing row vectors are
-/// immutable and shared by every plan over the same DataFrame, so the
-/// partitioning (which copies every boxed row) should happen once per
-/// dataset, not once per query — the engine-side analogue of Spark keeping
-/// parallelized data resident on the executors.
-class LocalPartitionCache {
- public:
-  static LocalPartitionCache& Global() {
-    static LocalPartitionCache* cache = new LocalPartitionCache();
-    return *cache;
-  }
-
-  std::shared_ptr<const RowDataset> Get(
-      const std::shared_ptr<const std::vector<Row>>& rows, size_t parts) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].rows.get() == rows.get() && entries_[i].parts == parts) {
-        Entry hit = entries_[i];
-        entries_.erase(entries_.begin() + static_cast<long>(i));
-        entries_.push_back(hit);  // move to MRU position
-        return hit.dataset;
-      }
-    }
-    auto dataset = std::make_shared<const RowDataset>(
-        RowDataset::FromRows(*rows, parts));
-    entries_.push_back({rows, parts, dataset});
-    if (entries_.size() > kCapacity) entries_.erase(entries_.begin());
-    return dataset;
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<const std::vector<Row>> rows;
-    size_t parts;
-    std::shared_ptr<const RowDataset> dataset;
-  };
-  static constexpr size_t kCapacity = 16;
-  std::mutex mu_;
-  std::vector<Entry> entries_;
-};
-
-}  // namespace
-
 RowDataset LocalTableScanExec::ExecuteImpl(QueryContext& ctx) const {
-  size_t parts = ctx.config().default_parallelism;
-  return *LocalPartitionCache::Global().Get(rows_, parts);
+  return table_->Partitioned(ctx.config().default_parallelism);
 }
 
 DataSourceScanExec::DataSourceScanExec(std::shared_ptr<SourceRelation> source,

@@ -12,12 +12,19 @@
 
 namespace ssql {
 
-/// Scan of driver-local rows (LocalRelation).
+/// Scan of a LocalRelation's in-memory rows. Scans share the table's
+/// partitioned view, so repeated queries over one DataFrame partition its
+/// rows once.
 class LocalTableScanExec : public PhysicalPlan {
  public:
   LocalTableScanExec(AttributeVector output,
+                     std::shared_ptr<const LocalTable> table)
+      : output_(std::move(output)), table_(std::move(table)) {}
+  /// Scans rows owned by no LocalRelation (operator tests and benches).
+  LocalTableScanExec(AttributeVector output,
                      std::shared_ptr<const std::vector<Row>> rows)
-      : output_(std::move(output)), rows_(std::move(rows)) {}
+      : LocalTableScanExec(std::move(output),
+                           std::make_shared<const LocalTable>(std::move(rows))) {}
 
   std::string NodeName() const override { return "LocalTableScan"; }
   std::vector<PhysPtr> Children() const override { return {}; }
@@ -25,12 +32,12 @@ class LocalTableScanExec : public PhysicalPlan {
   RowDataset ExecuteImpl(QueryContext& ctx) const override;
   std::string Describe() const override {
     return "LocalTableScan " + FormatAttributes(output_) +
-           " rows=" + std::to_string(rows_->size());
+           " rows=" + std::to_string(table_->rows().size());
   }
 
  private:
   AttributeVector output_;
-  std::shared_ptr<const std::vector<Row>> rows_;
+  std::shared_ptr<const LocalTable> table_;
 };
 
 /// Scan of an external data source with negotiated column pruning and

@@ -82,6 +82,14 @@ void ThreadPool::RunAll(std::vector<std::function<void()>> tasks) {
   if (barrier->first_error) std::rethrow_exception(barrier->first_error);
 }
 
+void RunAllOn(ThreadPool* pool, std::vector<std::function<void()>> tasks) {
+  if (pool != nullptr) {
+    pool->RunAll(std::move(tasks));
+    return;
+  }
+  for (auto& task : tasks) task();
+}
+
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;

@@ -44,6 +44,11 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
+/// Runs `tasks` with ThreadPool::RunAll on `pool`, or inline on the calling
+/// thread, in order, when `pool` is null (callers outside any SqlContext).
+/// Either way a task's exception reaches the caller.
+void RunAllOn(ThreadPool* pool, std::vector<std::function<void()>> tasks);
+
 }  // namespace ssql
 
 #endif  // SSQL_UTIL_THREAD_POOL_H_

@@ -1,6 +1,7 @@
 // DataFrame API surface tests: native-object DataFrames (Section 3.5),
 // WithColumn/As/CrossJoin/First/ToRdd, the RuleExecutor strategies, and
-// the advisory-filter (inexact) data source re-check path.
+// the advisory-filter (inexact) data source re-check path, and the
+// lifetime of local tables.
 
 #include <gtest/gtest.h>
 
@@ -273,6 +274,47 @@ TEST(AdvisoryFilterTest, EngineReChecksInexactSources) {
   // would leak through.
   EXPECT_EQ(rows.size(), 10u);
   for (const Row& r : rows) EXPECT_GE(r.GetInt32(0), 90);
+}
+
+// ---------------------------------------------------------------------------
+// Local tables live exactly as long as their DataFrame
+// ---------------------------------------------------------------------------
+
+TEST(LocalTableTest, RowsAreFreedWithTheirDataFrame) {
+  SqlContext ctx;
+  auto schema = StructType::Make({Field("x", DataType::Int32(), false)});
+  std::vector<Row> rows;
+  for (int i = 0; i < 1000; ++i) rows.push_back(Row({Value(int32_t{i})}));
+  std::weak_ptr<const std::vector<Row>> weak_rows;
+  {
+    DataFrame df = ctx.CreateDataFrame(schema, rows);
+    const auto* local = AsPlan<LocalRelation>(df.plan());
+    ASSERT_NE(local, nullptr);
+    weak_rows = local->shared_rows();
+    EXPECT_EQ(df.Collect().size(), 1000u);
+    EXPECT_EQ(df.Where(df("x") < functions::Lit(Value(int32_t{10})))
+                  .Collect()
+                  .size(),
+              10u);
+  }
+  EXPECT_TRUE(weak_rows.expired())
+      << "a dropped DataFrame's rows are still pinned";
+}
+
+TEST(LocalTableTest, PartitionedViewIsBuiltOncePerParallelism) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 100; ++i) rows.push_back(Row({Value(int32_t{i})}));
+  LocalTable table(std::make_shared<const std::vector<Row>>(std::move(rows)));
+  RowDataset first = table.Partitioned(4);
+  RowDataset again = table.Partitioned(4);
+  ASSERT_EQ(first.num_partitions(), 4u);
+  EXPECT_EQ(first.TotalRows(), 100u);
+  for (size_t p = 0; p < 4; ++p) {
+    EXPECT_EQ(again.partition(p).get(), first.partition(p).get());
+  }
+  RowDataset other = table.Partitioned(3);
+  EXPECT_EQ(other.num_partitions(), 3u);
+  EXPECT_EQ(other.TotalRows(), 100u);
 }
 
 }  // namespace

@@ -1,17 +1,28 @@
 // Columnar storage tests (Section 3.6): encodings round-trip exactly
-// (property-swept), compression actually shrinks compressible data, and
-// the in-memory cache serves pruned scans with an order-of-magnitude
-// smaller footprint than boxed rows.
+// (property-swept), the one-pass chooser matches the smallest per-scheme
+// encoding byte for byte, compression actually shrinks compressible data,
+// encoding on the pool matches encoding inline, and the in-memory cache
+// serves pruned scans with an order-of-magnitude smaller footprint than
+// boxed rows.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <random>
 
 #include "columnar/column_vector.h"
 #include "columnar/columnar_cache.h"
 #include "columnar/encoding.h"
 #include "columnar/row_batch.h"
+#include "datasources/colf_format.h"
+#include "test_temp_path.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace ssql {
 namespace {
@@ -256,6 +267,253 @@ TEST(CacheManagerTest, PutGetRemove) {
   EXPECT_EQ(manager.Get("key"), nullptr);
   manager.Clear();
   EXPECT_EQ(manager.TotalMemoryBytes(), 0u);
+}
+
+// ---- Encoder oracle: the one-pass chooser against the per-scheme encoders ----
+
+std::string Serialized(const EncodedColumn& e) {
+  std::string out;
+  SerializeColumn(e, &out);
+  return out;
+}
+
+/// The zone map as a fold over boxed values with Value::Compare, the first
+/// row winning ties — the semantics the typed pass must reproduce.
+void ExpectBoxedZoneMap(const ColumnVector& col, const EncodedColumn& e) {
+  std::optional<Value> lo, hi;
+  bool has_nulls = false;
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (col.IsNull(i)) {
+      has_nulls = true;
+      continue;
+    }
+    Value v = col.GetValue(i);
+    if (!lo || v.Compare(*lo) < 0) lo = v;
+    if (!hi || v.Compare(*hi) > 0) hi = v;
+  }
+  EXPECT_EQ(e.has_nulls, has_nulls);
+  ASSERT_EQ(e.min.has_value(), lo.has_value());
+  ASSERT_EQ(e.max.has_value(), hi.has_value());
+  if (!lo) return;
+  EXPECT_EQ(e.min->type_id(), lo->type_id());
+  EXPECT_EQ(e.max->type_id(), hi->type_id());
+  // Bit-level identity (NaN payloads, -0.0): compare serialized zone maps.
+  EncodedColumn expected;
+  expected.type = col.type();
+  expected.min = lo;
+  expected.max = hi;
+  EncodedColumn actual = expected;
+  actual.min = e.min;
+  actual.max = e.max;
+  EXPECT_EQ(Serialized(actual), Serialized(expected));
+}
+
+/// EncodeColumn must be byte-identical to the smallest of the three
+/// EncodeColumnAs schemes (ties: plain, then RLE, then dictionary), every
+/// scheme must round-trip, and the zone map must match the boxed fold.
+void ExpectChosenIsSmallest(const ColumnVector& col) {
+  EncodedColumn chosen = EncodeColumn(col);
+  EncodedColumn best = EncodeColumnAs(col, ColumnEncoding::kPlain);
+  for (ColumnEncoding scheme :
+       {ColumnEncoding::kRunLength, ColumnEncoding::kDictionary}) {
+    EncodedColumn candidate = EncodeColumnAs(col, scheme);
+    ExpectRoundTrip(col, scheme);
+    if (candidate.data.size() < best.data.size()) best = std::move(candidate);
+  }
+  ExpectRoundTrip(col, ColumnEncoding::kPlain);
+  EXPECT_EQ(chosen.encoding, best.encoding) << col.type()->ToString();
+  EXPECT_EQ(chosen.data, best.data) << col.type()->ToString();
+  EXPECT_EQ(Serialized(chosen), Serialized(best));
+  ExpectBoxedZoneMap(col, chosen);
+}
+
+Value RandomValue(std::mt19937_64& rng, const DataType& type, int64_t k) {
+  switch (type.id()) {
+    case TypeId::kBoolean:
+      return Value(k % 2 == 0);
+    case TypeId::kInt32:
+      return Value(static_cast<int32_t>(k * 7919 - 50000));
+    case TypeId::kInt64:
+      return Value(static_cast<int64_t>(k * 1000000007LL - 3));
+    case TypeId::kDate:
+      return Value(DateValue{static_cast<int32_t>(k - 100)});
+    case TypeId::kTimestamp:
+      return Value(TimestampValue{static_cast<int64_t>(k * 1000 - 77)});
+    case TypeId::kDecimal: {
+      // Unscaled values past 2^53 make distinct decimals tie as doubles,
+      // the order Value::Compare uses.
+      const auto& dt = AsDecimal(type);
+      int64_t unscaled = static_cast<int64_t>(
+          (k * 123456789012345LL) % 999999999999999999LL - 5);
+      return Value(Decimal(unscaled, dt.precision(), dt.scale()));
+    }
+    case TypeId::kDouble: {
+      static const double kSpecial[] = {
+          std::numeric_limits<double>::quiet_NaN(), -0.0, 0.0,
+          -std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::infinity()};
+      if (k % 5 == 0) return Value(kSpecial[(k / 5) % 5]);
+      return Value(static_cast<double>(k) * 0.25 - 3.0);
+    }
+    default:
+      if (k % 7 == 0) return Value(std::string());
+      return Value("s" + std::to_string(k % 1000) +
+                   std::string(static_cast<size_t>(rng() % 4), 'x'));
+  }
+}
+
+std::vector<DataTypePtr> EncodableTypes() {
+  return {DataType::Boolean(), DataType::Int32(),     DataType::Int64(),
+          DataType::Date(),    DataType::Timestamp(), DecimalType::Make(18, 4),
+          DataType::Double(),  DataType::String()};
+}
+
+class EncoderOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(EncoderOracleTest, ChosenEncodingIsTheSmallestSchemeByteForByte) {
+  std::mt19937_64 rng(static_cast<uint64_t>(GetParam()) * 7477);
+  for (const DataTypePtr& type : EncodableTypes()) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const size_t n = std::vector<size_t>{1, 2, 17, 300, 1000}[rng() % 5];
+      const int64_t cardinality =
+          std::vector<int64_t>{1, 2, 5, 50, 1000000}[rng() % 5];
+      const int null_pct = std::vector<int>{0, 0, 10, 50}[rng() % 4];
+      const size_t run = std::vector<size_t>{1, 1, 3, 40}[rng() % 4];
+      ColumnVector col(type);
+      Value current;
+      for (size_t i = 0; i < n; ++i) {
+        if (i % run == 0) {
+          current = static_cast<int>(rng() % 100) < null_pct
+                        ? Value::Null()
+                        : RandomValue(rng, *type,
+                                      static_cast<int64_t>(rng() % cardinality));
+        }
+        col.Append(current);
+      }
+      SCOPED_TRACE(type->ToString() + " n=" + std::to_string(n) +
+                   " trial=" + std::to_string(trial));
+      ExpectChosenIsSmallest(col);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EncoderOracleTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+
+TEST(EncoderOracleTest, EdgeCases) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // NaN first: unordered under Value::Compare, so it stays min and max.
+  ColumnVector nan_first = MakeColumn(
+      DataType::Double(), {Value(nan), Value(1.0), Value(-5.0), Value(nan)});
+  ExpectChosenIsSmallest(nan_first);
+  EXPECT_TRUE(std::isnan(EncodeColumn(nan_first).min->f64()));
+  EXPECT_TRUE(std::isnan(EncodeColumn(nan_first).max->f64()));
+
+  // -0.0 next to 0.0: equal for the zone map (first wins), distinct for
+  // RLE runs and dictionary entries (bitwise), and both survive decoding.
+  ColumnVector zeros = MakeColumn(
+      DataType::Double(), {Value(-0.0), Value(0.0), Value(0.0), Value(-0.0)});
+  ExpectChosenIsSmallest(zeros);
+  EncodedColumn zeros_rle = EncodeColumnAs(zeros, ColumnEncoding::kRunLength);
+  // Three runs, each a u32 length, a null flag and an 8-byte value.
+  EXPECT_EQ(zeros_rle.data.size(), 3u * 13u);
+  EXPECT_TRUE(std::signbit(EncodeColumn(zeros).min->f64()));
+  ColumnVector zeros_back =
+      DecodeColumn(EncodeColumnAs(zeros, ColumnEncoding::kDictionary));
+  EXPECT_TRUE(std::signbit(zeros_back.GetDouble(0)));
+  EXPECT_FALSE(std::signbit(zeros_back.GetDouble(1)));
+
+  // '' is a value, distinct from null.
+  ColumnVector empties = MakeColumn(
+      DataType::String(),
+      {Value(std::string()), Value::Null(), Value(std::string()), Value("a"),
+       Value(std::string()), Value::Null()});
+  ExpectChosenIsSmallest(empties);
+  EXPECT_EQ(EncodeColumn(empties).min->str(), "");
+
+  for (const DataTypePtr& type : EncodableTypes()) {
+    SCOPED_TRACE(type->ToString());
+    ColumnVector all_null(type);
+    for (int i = 0; i < 10; ++i) all_null.AppendNull();
+    ExpectChosenIsSmallest(all_null);
+    EXPECT_FALSE(EncodeColumn(all_null).min.has_value());
+
+    std::mt19937_64 rng(9);
+    ColumnVector one(type);
+    one.Append(RandomValue(rng, *type, 3));
+    ExpectChosenIsSmallest(one);
+
+    ColumnVector empty(type);
+    ExpectChosenIsSmallest(empty);
+
+    // A full 4096-row chunk at full cardinality.
+    ColumnVector distinct(type);
+    for (int64_t i = 0; i < 4096; ++i) {
+      distinct.Append(RandomValue(rng, *type, i + 1));
+    }
+    ExpectChosenIsSmallest(distinct);
+  }
+}
+
+std::vector<Row> MixedRows(size_t n) {
+  std::vector<Row> rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    Value name = i % 11 == 0 ? Value::Null()
+                             : Value("name" + std::to_string(i % 37));
+    rows.push_back(Row({Value(static_cast<int64_t>(i)), std::move(name),
+                        Value(static_cast<double>(i / 8) * 0.5),
+                        Value(static_cast<int32_t>(i % 3))}));
+  }
+  return rows;
+}
+
+SchemaPtr MixedSchema() {
+  return StructType::Make({
+      Field("id", DataType::Int64(), false),
+      Field("name", DataType::String(), true),
+      Field("score", DataType::Double(), true),
+      Field("bucket", DataType::Int32(), false),
+  });
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(ParallelEncodingTest, ColfFileOnThePoolIsByteIdenticalToInline) {
+  ThreadPool pool(4);
+  std::vector<Row> rows = MixedRows(5000);
+  std::string inline_path = TestTempPath("inline.colf");
+  std::string pooled_path = TestTempPath("pooled.colf");
+  WriteColfFile(inline_path, MixedSchema(), rows, 300);
+  WriteColfFile(pooled_path, MixedSchema(), rows, 300, &pool);
+  std::string inline_bytes = ReadFileBytes(inline_path);
+  EXPECT_GT(inline_bytes.size(), 0u);
+  EXPECT_EQ(ReadFileBytes(pooled_path), inline_bytes);
+  std::remove(inline_path.c_str());
+  std::remove(pooled_path.c_str());
+}
+
+TEST(ParallelEncodingTest, CachedTableOnThePoolIsByteIdenticalToInline) {
+  ThreadPool pool(4);
+  RowDataset data = RowDataset::FromRows(MixedRows(5000), 7);
+  auto inline_table = CachedTable::Build(MixedSchema(), data);
+  auto pooled_table = CachedTable::Build(MixedSchema(), data, &pool);
+  ASSERT_EQ(pooled_table->num_chunks(), inline_table->num_chunks());
+  EXPECT_EQ(pooled_table->num_rows(), inline_table->num_rows());
+  for (size_t c = 0; c < inline_table->num_chunks(); ++c) {
+    EXPECT_EQ(pooled_table->chunk_rows(c), inline_table->chunk_rows(c));
+    const auto& a = inline_table->chunk_columns(c);
+    const auto& b = pooled_table->chunk_columns(c);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t f = 0; f < a.size(); ++f) {
+      EXPECT_EQ(Serialized(b[f]), Serialized(a[f]))
+          << "chunk " << c << " field " << f;
+    }
+  }
 }
 
 // ---- Null-slot and RowBatch regressions (vectorized engine hazards) ----

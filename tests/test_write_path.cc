@@ -1,5 +1,5 @@
 // Data source write path (Section 4.4.1's writing interfaces): round-trips
-// through csv/json/colf/kvdb writers, plus assorted end-to-end coverage —
+// through csv/json/colf/kvdb writers, failed file writes reported, plus assorted end-to-end coverage —
 // the DecimalAggregates rewrite preserving values, COUNT(DISTINCT) in SQL,
 // timestamps, and UNION validation.
 
@@ -90,6 +90,26 @@ TEST(WritePathTest, UnknownWriterErrors) {
   EXPECT_THROW(SampleFrame(ctx).Save("nosuchsink", {}), AnalysisError);
   EXPECT_THROW(SampleFrame(ctx).Save("csv", {}), IoError);  // missing path
 }
+
+/// Saving to /dev/full (every write fails with ENOSPC, usually only at the
+/// final flush) must surface as IoError naming the path, never as success
+/// with a truncated file.
+void ExpectFullDiskError(const std::string& provider) {
+  SqlContext ctx;
+  try {
+    SampleFrame(ctx).Save(provider, {{"path", "/dev/full"}});
+    ADD_FAILURE() << provider << " write to a full disk reported success";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(WritePathTest, CsvWriteToFullDiskThrows) { ExpectFullDiskError("csv"); }
+
+TEST(WritePathTest, JsonWriteToFullDiskThrows) { ExpectFullDiskError("json"); }
+
+TEST(WritePathTest, ColfWriteToFullDiskThrows) { ExpectFullDiskError("colf"); }
 
 TEST(JsonSerializationTest, ValueToJsonEscapes) {
   EXPECT_EQ(ValueToJson(Value("a\"b\nc"), *DataType::String()),
