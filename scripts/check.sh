@@ -64,8 +64,11 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 # re-registration and the copy-on-write staleness swap are its TSan
 # surface, and the HLL/histogram buffers its ASan surface.
 cmake -B build-tsan -S . -DSSQL_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_exec --target test_property_end_to_end --target test_flight_recorder --target test_columnar --target test_write_path >/dev/null
+cmake --build build-tsan -j --target test_concurrency --target test_memory --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_exec --target test_property_end_to_end --target test_flight_recorder --target test_columnar --target test_write_path >/dev/null
 ./build-tsan/tests/test_concurrency
+# Memory/spill under TSan: typed group tables in concurrent partition
+# tasks reserve from one shared budget and spill into per-task buckets.
+./build-tsan/tests/test_memory
 ./build-tsan/tests/test_system_tables
 ./build-tsan/tests/test_fault_tolerance
 ./build-tsan/tests/test_statistics

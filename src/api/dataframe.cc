@@ -180,7 +180,7 @@ Row DataFrame::First() const {
 void DataFrame::Save(const std::string& provider,
                      const std::map<std::string, std::string>& options) const {
   DataSourceRegistry::Global().Write(provider, options, schema(), Collect(),
-                                     &ctx_->exec().pool());
+                                     ctx_->exec().PinPool().get());
   // Rewriting a destination through the write path invalidates any ANALYZE
   // TABLE stats recorded against it; source display names are
   // "<provider>:<location>", where the location option is provider-specific.

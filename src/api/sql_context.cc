@@ -453,7 +453,7 @@ void SqlContext::CachePlan(const PlanPtr& analyzed_plan) {
   }
   SchemaPtr schema = StructType::Make(std::move(fields));
   cache_.Put(analyzed_plan->TreeString(),
-             CachedTable::Build(schema, data, &exec_.pool()));
+             CachedTable::Build(schema, data, exec_.PinPool().get()));
 }
 
 void SqlContext::UncachePlan(const PlanPtr& analyzed_plan) {

@@ -130,7 +130,7 @@ std::unordered_map<std::string, int64_t> Metrics::Snapshot() const {
 
 ExecContext::ExecContext(EngineConfig config)
     : config_((ValidateEngineConfig(config), config)),
-      pool_(std::make_unique<ThreadPool>(config.num_threads)) {
+      pool_(std::make_shared<ThreadPool>(config.num_threads)) {
   admission_wait_hist_ = &registry_.Histogram(
       "ssql_admission_wait_us",
       "Time queries waited behind the admission gate, microseconds");
@@ -243,8 +243,9 @@ void ExecContext::SetConfig(const EngineConfig& config) {
   bool pool_changed = config.num_threads != config_.num_threads;
   config_ = config;
   if (pool_changed) {
-    // Safe: no queries are running or queued, so the pool is idle.
-    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
+    // Safe: no query is running or queued, and work outside any query
+    // holds the old pool through PinPool until it is done.
+    pool_ = std::make_shared<ThreadPool>(config_.num_threads);
   }
   ApplyConfigLocked();
   // A shrunken retention applies immediately (oldest evicted first).
@@ -256,6 +257,11 @@ void ExecContext::SetConfig(const EngineConfig& config) {
   // so a shorter interval takes effect now rather than after the old sleep.
   watchdog_cv_.notify_all();
   sampler_cv_.notify_all();
+}
+
+std::shared_ptr<ThreadPool> ExecContext::PinPool() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pool_;
 }
 
 void ExecContext::WatchdogLoop() {

@@ -333,6 +333,13 @@ class ExecContext {
   }
 
   ThreadPool& pool() { return *pool_; }
+
+  /// The worker pool, shared with the caller for work that runs on it
+  /// outside any query (RDD actions, DataFrame::Save encoding, cache
+  /// builds). A num_threads change installs a new pool; a pinned old one
+  /// lives until its last holder drops it.
+  std::shared_ptr<ThreadPool> PinPool();
+
   Metrics& metrics() { return metrics_; }
 
   /// The typed engine-wide metrics registry (counters / gauges / latency
@@ -465,7 +472,7 @@ class ExecContext {
   void SamplerLoop();
 
   EngineConfig config_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::shared_ptr<ThreadPool> pool_;
   Metrics metrics_;
   MetricsRegistry registry_;
   MemoryManager engine_memory_;

@@ -60,6 +60,12 @@ void MemoryManager::Configure(int64_t limit_bytes, bool spill_enabled,
 }
 
 std::string MemoryManager::OverBudgetMessage(const std::string& consumer) const {
+  if (limit_bytes() < 0 && parent_ != nullptr) {
+    return "engine memory limit of " + std::to_string(parent_->limit_bytes()) +
+           " bytes exceeded by " + consumer +
+           " and spilling is disabled; raise total_memory_limit_bytes or set "
+           "spill_enabled";
+  }
   return "query memory limit of " + std::to_string(limit_bytes()) +
          " bytes exceeded by " + consumer +
          " and spilling is disabled; raise query_memory_limit_bytes or set "

@@ -98,8 +98,11 @@ class MemoryManager {
     query_id_ = query_id;
   }
 
+  /// True when this level or any ancestor has a budget: a query without a
+  /// limit of its own still draws from a limited engine pool.
   bool limited() const {
-    return limit_.load(std::memory_order_relaxed) >= 0;
+    return limit_.load(std::memory_order_relaxed) >= 0 ||
+           (parent_ != nullptr && parent_->limited());
   }
   bool spill_enabled() const { return spill_enabled_; }
   int64_t limit_bytes() const { return limit_.load(std::memory_order_relaxed); }

@@ -124,6 +124,18 @@ SpillFile QueryContext::MakeSpillFile(const std::string& prefix) {
   return SpillFile(spill_dir(), prefix, std::move(hooks));
 }
 
+void QueryContext::RecordSpill(int64_t files_created, int64_t bytes_written) {
+  if (files_created > 0) {
+    profile_->Add(nullptr, ProfileCounter::kSpillFiles, files_created);
+  }
+  if (bytes_written > 0) {
+    profile_->Add(nullptr, ProfileCounter::kSpillBytes, bytes_written);
+    engine_.registry()
+        .Histogram("ssql_spill_write_bytes", "Bytes written per spill event")
+        .Record(bytes_written);
+  }
+}
+
 void QueryContext::set_plan_text(std::string text) {
   std::lock_guard<std::mutex> lock(plan_text_mu_);
   plan_text_ = std::move(text);

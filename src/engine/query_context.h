@@ -132,6 +132,10 @@ class QueryContext {
   /// injectable.
   SpillFile MakeSpillFile(const std::string& prefix);
 
+  /// Meters one spill event of the current operator: the files it created
+  /// and the bytes it wrote (a no-op for an empty event).
+  void RecordSpill(int64_t files_created, int64_t bytes_written);
+
   /// The engine's fault-point set (site-based injection), shared by every
   /// query so hit windows span concurrent queries.
   const FaultPointSet& fault_points() const { return engine_.fault_points(); }

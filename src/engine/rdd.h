@@ -129,7 +129,7 @@ class RDD : public std::enable_shared_from_this<RDD<T>> {
     for (size_t p = 0; p < num_partitions_; ++p) {
       tasks.push_back([self, &parts, p] { parts[p] = self->ComputePartition(p); });
     }
-    ctx_->pool().RunAll(std::move(tasks));
+    ctx_->PinPool()->RunAll(std::move(tasks));
     std::vector<T> out;
     size_t total = 0;
     for (auto& part : parts) total += part.size();
@@ -151,7 +151,7 @@ class RDD : public std::enable_shared_from_this<RDD<T>> {
       tasks.push_back(
           [self, &counts, p] { counts[p] = self->ComputePartition(p).size(); });
     }
-    ctx_->pool().RunAll(std::move(tasks));
+    ctx_->PinPool()->RunAll(std::move(tasks));
     size_t total = 0;
     for (size_t c : counts) total += c;
     return total;
@@ -230,7 +230,7 @@ typename RDD<std::pair<K, V>>::Ptr ReduceByKey(
           }
         });
       }
-      ctx.pool().RunAll(std::move(map_tasks));
+      ctx.PinPool()->RunAll(std::move(map_tasks));
 
       // Reduce side: merge buckets.
       state->outputs.resize(num_out);
@@ -254,7 +254,7 @@ typename RDD<std::pair<K, V>>::Ptr ReduceByKey(
           for (auto& [k, v] : merged) out.emplace_back(k, std::move(v));
         });
       }
-      ctx.pool().RunAll(std::move(reduce_tasks));
+      ctx.PinPool()->RunAll(std::move(reduce_tasks));
     });
   };
 

@@ -35,32 +35,119 @@ struct GroupKeyHash {
 
 using GroupMap = std::unordered_map<GroupKey, std::vector<Value>, GroupKeyHash>;
 
-/// Number of hash buckets a spilled group map is scattered into; the drain
-/// phase needs only one bucket's groups in memory at a time.
+/// Number of hash buckets a spilled group table is scattered into; the
+/// drain phase needs only one bucket's groups in memory at a time.
 constexpr size_t kAggSpillFanout = 16;
 
 /// Map node + bucket-array overhead per group beyond the boxed values.
 constexpr int64_t kGroupEntryOverhead = 64;
 
-/// The hash-aggregation working set of one partition task, with Grace-style
-/// spilling: group banks live in an in-memory map charged against a
-/// MemoryReservation; when a grant is denied the map is scattered into
-/// kAggSpillFanout spill files by (mixed) key hash as [key..., accumulator
-/// ...] rows and the map restarts empty. Drain() then re-aggregates each
-/// bucket separately — all rows of a group share a bucket — merging partial
-/// accumulators with AggregateFunction::Merge, which is exactly how the
-/// Final stage combines shuffled accumulators. Used by both the Partial and
-/// Final generic paths; callers choose how a new group's bank is built and
-/// how rows fold into an existing bank.
+/// The memory grant and Grace-style bucket files of one partition task's
+/// group table, shared by the generic map and the typed table. The table
+/// charges its footprint with Reserve(); when a grant is denied it scatters
+/// every group into kAggSpillFanout spill files by (mixed) key hash, as
+/// [key..., accumulator...] rows, and restarts empty. Drain() reads the
+/// buckets back one at a time — all rows of a group share a bucket — and
+/// the table re-aggregates each bucket on its own, merging partial
+/// accumulators exactly as the Final stage merges shuffled ones.
+class AggSpill {
+ public:
+  AggSpill(QueryContext& ctx, std::string consumer)
+      : ctx_(ctx),
+        consumer_(std::move(consumer)),
+        reservation_(ctx.memory().CreateReservation()) {}
+
+  /// Grows the grant to `total_bytes`; false when denied, and the caller
+  /// must spill. Throws the over-budget error when spilling is disabled.
+  bool Reserve(int64_t total_bytes) {
+    if (reservation_.EnsureReserved(total_bytes)) return true;
+    if (!ctx_.memory().spill_enabled()) {
+      throw ExecutionError(ctx_.memory().OverBudgetMessage(consumer_));
+    }
+    return false;
+  }
+
+  /// Grows the grant to `total_bytes` past the budget if need be: for the
+  /// irreducible working set (a single group, or one spilled bucket, whose
+  /// overshoot is 1/kAggSpillFanout of the spilled working set).
+  void Force(int64_t total_bytes) {
+    reservation_.ForceGrow(total_bytes - reservation_.reserved());
+  }
+
+  int64_t reserved() const { return reservation_.reserved(); }
+  bool spilled() const { return !buckets_.empty(); }
+
+  /// True once Drain() has begun: a bucket is re-aggregated whole, so the
+  /// table admits its groups over budget instead of spilling again.
+  bool draining() const { return draining_; }
+
+  /// Appends one group's [key..., acc...] row to the bucket of `key_hash`.
+  void Scatter(uint64_t key_hash, const Row& row) {
+    ctx_.CheckCancelledEvery(&cancel_check_);
+    if (buckets_.empty()) buckets_.resize(kAggSpillFanout);
+    std::optional<SpillFile>& bucket =
+        buckets_[MixHash64(key_hash) % kAggSpillFanout];
+    if (!bucket) {
+      bucket.emplace(ctx_.MakeSpillFile(consumer_));
+      ++files_created_;
+    }
+    wrote_ += bucket->Append(row);
+  }
+
+  /// Ends one scatter: the table has dropped its groups, so the grant goes
+  /// back, and the spill event is metered.
+  void EndScatter() {
+    ctx_.RecordSpill(files_created_, wrote_);
+    files_created_ = 0;
+    wrote_ = 0;
+    reservation_.Release();
+  }
+
+  /// Reads the buckets back one at a time: `row_fn` for each row, then
+  /// `bucket_done`, where the table emits the bucket's groups and restarts
+  /// empty. The grant is released and the bucket's file deleted after each
+  /// bucket (and by RAII on any unwind).
+  void Drain(const std::function<void(const Row&)>& row_fn,
+             const std::function<void()>& bucket_done) {
+    draining_ = true;
+    for (std::optional<SpillFile>& bucket : buckets_) {
+      if (!bucket) continue;
+      bucket->FinishWrites();
+      SpillFile::Reader reader(*bucket);
+      Row row;
+      while (reader.Next(&row)) {
+        ctx_.CheckCancelledEvery(&cancel_check_);
+        row_fn(row);
+      }
+      bucket_done();
+      reservation_.Release();
+      bucket.reset();
+    }
+    buckets_.clear();
+  }
+
+ private:
+  QueryContext& ctx_;
+  std::string consumer_;
+  MemoryReservation reservation_;
+  std::vector<std::optional<SpillFile>> buckets_;
+  size_t cancel_check_ = 0;
+  int64_t files_created_ = 0;
+  int64_t wrote_ = 0;
+  bool draining_ = false;
+};
+
+/// The hash-aggregation working set of one partition task on the generic
+/// path (multi-column keys, decimal sums, CountDistinct and UDAFs, string
+/// min/max, codegen off): boxed keys and accumulator banks in an
+/// unordered_map, charged per group and spilled through AggSpill. Used by
+/// both the Partial and Final generic paths; callers choose how a new
+/// group's bank is built and how rows fold into an existing bank.
 class SpillingGroupMap {
  public:
   SpillingGroupMap(QueryContext& ctx, std::string consumer, size_t key_width,
                    const std::vector<AggregatePtr>& aggs)
-      : ctx_(ctx),
-        consumer_(std::move(consumer)),
-        key_width_(key_width),
-        aggs_(aggs),
-        reservation_(ctx.memory().CreateReservation()) {}
+      : spill_(ctx, std::move(consumer)), key_width_(key_width), aggs_(aggs) {}
 
   /// Returns the accumulator bank for `key`, inserting the bank built by
   /// `init` when the key is new (spilling first if over budget). The
@@ -73,69 +160,50 @@ class SpillingGroupMap {
     int64_t entry_bytes = kGroupEntryOverhead;
     for (const Value& v : key.values) entry_bytes += EstimateValueBytes(v);
     for (const Value& v : accs) entry_bytes += EstimateValueBytes(v);
-    Charge(entry_bytes);
+    if (!spill_.Reserve(used_bytes_ + entry_bytes)) {
+      if (!spill_.draining()) SpillMap();
+      // The new group is the irreducible working set, and a drained bucket
+      // is processed whole: admit them even if the budget (shared with
+      // concurrent partitions) is still exhausted.
+      if (!spill_.Reserve(used_bytes_ + entry_bytes)) {
+        spill_.Force(used_bytes_ + entry_bytes);
+      }
+    }
+    used_bytes_ += entry_bytes;
     it = groups_.emplace(std::move(key), std::move(accs)).first;
     return &it->second;
   }
 
-  /// Emits every surviving group exactly once via `sink`, merging spilled
-  /// buckets back through a (smaller) in-memory map. Leaves the map empty
-  /// and the reservation released; spill files are deleted as each bucket
-  /// finishes (and by RAII on any unwind).
+  /// Merges one [key..., acc...] partial row into its group.
+  void MergeRow(const Row& row) {
+    GroupKey key;
+    key.values.assign(row.values().begin(), row.values().begin() + key_width_);
+    bool inserted = false;
+    std::vector<Value>* accs = FindOrInsert(std::move(key), [&] {
+      inserted = true;
+      return std::vector<Value>(row.values().begin() + key_width_,
+                                row.values().end());
+    });
+    if (inserted) return;
+    for (size_t j = 0; j < aggs_.size(); ++j) {
+      aggs_[j]->Merge(&(*accs)[j], row.Get(key_width_ + j));
+    }
+  }
+
+  /// Emits every surviving group exactly once via `sink`. After a spill the
+  /// in-memory remainder spills too, and each bucket is re-aggregated in
+  /// the emptied map with MergeRow.
   void Drain(const std::function<void(GroupKey, std::vector<Value>)>& sink) {
-    if (spill_buckets_.empty()) {
+    auto emit = [&] {
       for (auto& [key, accs] : groups_) {
         sink(GroupKey{key.values}, std::move(accs));
       }
       groups_.clear();
       used_bytes_ = 0;
-      reservation_.Release();
-      return;
-    }
-    // Uniform handling: push the in-memory remainder to disk too, then
-    // re-aggregate bucket by bucket.
+    };
+    if (!spill_.spilled()) return emit();
     SpillMap();
-    for (auto& bucket : spill_buckets_) {
-      if (!bucket) continue;
-      bucket->FinishWrites();
-      GroupMap merged;
-      int64_t used = 0;
-      size_t cancel_check = 0;
-      SpillFile::Reader reader(*bucket);
-      Row row;
-      while (reader.Next(&row)) {
-        ctx_.CheckCancelledEvery(&cancel_check);
-        GroupKey key;
-        key.values.assign(row.values().begin(),
-                          row.values().begin() + key_width_);
-        auto it = merged.find(key);
-        if (it == merged.end()) {
-          int64_t entry_bytes = kGroupEntryOverhead;
-          for (const Value& v : row.values()) {
-            entry_bytes += EstimateValueBytes(v);
-          }
-          // A bucket that still exceeds the budget is processed anyway
-          // (single-level recursion); the overshoot is 1/kAggSpillFanout
-          // of the original working set.
-          if (!reservation_.EnsureReserved(used + entry_bytes)) {
-            reservation_.ForceGrow(entry_bytes);
-          }
-          used += entry_bytes;
-          std::vector<Value> accs(row.values().begin() + key_width_,
-                                  row.values().end());
-          merged.emplace(std::move(key), std::move(accs));
-          continue;
-        }
-        for (size_t j = 0; j < aggs_.size(); ++j) {
-          aggs_[j]->Merge(&it->second[j], row.Get(key_width_ + j));
-        }
-      }
-      for (auto& [key, accs] : merged) {
-        sink(GroupKey{key.values}, std::move(accs));
-      }
-      reservation_.Release();
-      bucket.reset();  // deletes the file as soon as its bucket is done
-    }
+    spill_.Drain([this](const Row& row) { MergeRow(row); }, emit);
   }
 
   /// Drain() into the partial stage's row layout: [key..., acc...].
@@ -149,71 +217,26 @@ class SpillingGroupMap {
     });
   }
 
-  bool spilled() const { return !spill_buckets_.empty(); }
-
  private:
-  /// Reserves `entry_bytes` more, spilling the current map when denied.
-  void Charge(int64_t entry_bytes) {
-    if (reservation_.EnsureReserved(used_bytes_ + entry_bytes)) {
-      used_bytes_ += entry_bytes;
-      return;
-    }
-    if (!ctx_.memory().spill_enabled()) {
-      throw ExecutionError(ctx_.memory().OverBudgetMessage(consumer_));
-    }
-    SpillMap();
-    // The new group is the irreducible working set: admit it even if the
-    // budget (shared with concurrent partitions) is still exhausted.
-    if (!reservation_.EnsureReserved(entry_bytes)) {
-      reservation_.ForceGrow(entry_bytes);
-    }
-    used_bytes_ = entry_bytes;
-  }
-
   /// Scatters the in-memory map into the bucket files and restarts empty.
   void SpillMap() {
-    if (spill_buckets_.empty()) spill_buckets_.resize(kAggSpillFanout);
-    int64_t wrote = 0;
-    size_t cancel_check = 0;
-    size_t files_created = 0;
     for (auto& [key, accs] : groups_) {
-      ctx_.CheckCancelledEvery(&cancel_check);
-      size_t b = MixHash64(GroupKeyHash{}(key)) % kAggSpillFanout;
-      if (!spill_buckets_[b]) {
-        spill_buckets_[b].emplace(ctx_.MakeSpillFile(consumer_));
-        ++files_created;
-      }
       Row row;
       row.Reserve(key.values.size() + accs.size());
       for (const Value& v : key.values) row.Append(v);
       for (const Value& v : accs) row.Append(v);
-      wrote += spill_buckets_[b]->Append(row);
+      spill_.Scatter(GroupKeyHash{}(key), row);
     }
-    if (files_created > 0) {
-      ctx_.profile().Add(nullptr, ProfileCounter::kSpillFiles,
-                         static_cast<int64_t>(files_created));
-    }
-    if (wrote > 0) {
-      ctx_.profile().Add(nullptr, ProfileCounter::kSpillBytes, wrote);
-      ctx_.engine()
-          .registry()
-          .Histogram("ssql_spill_write_bytes",
-                     "Bytes written per spill event")
-          .Record(wrote);
-    }
+    spill_.EndScatter();
     groups_.clear();
     used_bytes_ = 0;
-    reservation_.Release();
   }
 
-  QueryContext& ctx_;
-  std::string consumer_;
+  AggSpill spill_;
   size_t key_width_;
   const std::vector<AggregatePtr>& aggs_;
   GroupMap groups_;
   int64_t used_bytes_ = 0;
-  MemoryReservation reservation_;
-  std::vector<std::optional<SpillFile>> spill_buckets_;
 };
 
 /// The generic partial stage bound to its input: grouping expressions and
@@ -303,9 +326,7 @@ RowDataset HashAggregateExec::ExecutePartial(QueryContext& ctx) const {
   RowDataset input = child_->Execute(ctx);
   AttributeVector child_out = child_->Output();
 
-  // The typed fast path keeps its whole working set in unaccounted flat
-  // arrays, so it only runs when no memory budget is in force.
-  if (ctx.config().codegen_enabled && !ctx.memory().limited()) {
+  if (ctx.config().codegen_enabled) {
     RowDataset fast;
     if (TryExecutePartialFast(ctx, input, child_out, &fast)) return fast;
   }
@@ -476,6 +497,87 @@ std::vector<DataTypePtr> PartialPackTypes(const ExprVector& groupings,
   return types;
 }
 
+/// Folds one non-null value into a typed accumulator: an argument value in
+/// the partial stages, or, for sums and min/max, whose merge is the same
+/// fold, a partial accumulator in the final stage. `i` carries int-like
+/// values and `f` doubles (Average's argument may be either).
+void FoldNonNull(const FastAggSpec& spec, FastAcc& acc, int64_t i, double f) {
+  switch (spec.kind) {
+    case FastAggSpec::Kind::kCountStar:
+    case FastAggSpec::Kind::kCount:
+      acc.count += 1;
+      break;
+    case FastAggSpec::Kind::kSumI64:
+      acc.i64 += i;
+      acc.has = true;
+      break;
+    case FastAggSpec::Kind::kSumF64:
+      acc.f64 += f;
+      acc.has = true;
+      break;
+    case FastAggSpec::Kind::kAvg:
+      // Average's accumulator sums as double regardless of input.
+      acc.f64 += spec.arg_f64 ? f : static_cast<double>(i);
+      acc.count += 1;
+      break;
+    case FastAggSpec::Kind::kMinMaxI64:
+      if (!acc.has || (spec.is_min ? i < acc.i64 : i > acc.i64)) acc.i64 = i;
+      acc.has = true;
+      break;
+    case FastAggSpec::Kind::kMinMaxF64:
+      if (!acc.has || (spec.is_min ? f < acc.f64 : f > acc.f64)) acc.f64 = f;
+      acc.has = true;
+      break;
+  }
+}
+
+/// Merges one boxed partial accumulator (BoxFastAcc's unfinished layout)
+/// into a typed one: the Final stage's fold, which also re-aggregates a
+/// spilled bucket.
+void MergeBoxedAcc(const FastAggSpec& spec, FastAcc& acc, const Value& v) {
+  switch (spec.kind) {
+    case FastAggSpec::Kind::kCountStar:
+    case FastAggSpec::Kind::kCount:
+      acc.count += v.i64();
+      break;
+    case FastAggSpec::Kind::kAvg: {
+      const auto& fields = v.struct_data().fields;
+      acc.f64 += fields[0].f64();
+      acc.count += fields[1].i64();
+      break;
+    }
+    case FastAggSpec::Kind::kSumF64:
+    case FastAggSpec::Kind::kMinMaxF64:
+      if (!v.is_null()) FoldNonNull(spec, acc, 0, v.f64());
+      break;
+    default:
+      if (!v.is_null()) FoldNonNull(spec, acc, v.AsInt64(), 0);
+      break;
+  }
+}
+
+/// Boxes one typed accumulator: as the partial accumulator the Final stage
+/// merges (`finished` false), or as the aggregate's result.
+Value BoxFastAcc(const FastAggSpec& spec, const FastAcc& acc, bool finished) {
+  switch (spec.kind) {
+    case FastAggSpec::Kind::kCountStar:
+    case FastAggSpec::Kind::kCount:
+      return Value(acc.count);
+    case FastAggSpec::Kind::kSumI64:
+      return acc.has ? Value(acc.i64) : Value::Null();
+    case FastAggSpec::Kind::kSumF64:
+    case FastAggSpec::Kind::kMinMaxF64:
+      return acc.has ? Value(acc.f64) : Value::Null();
+    case FastAggSpec::Kind::kAvg:
+      if (!finished) return Value::Struct({Value(acc.f64), Value(acc.count)});
+      return acc.count > 0 ? Value(acc.f64 / static_cast<double>(acc.count))
+                           : Value::Null();
+    case FastAggSpec::Kind::kMinMaxI64:
+      return acc.has ? BoxIntLike(acc.i64, spec.box_type) : Value::Null();
+  }
+  return Value::Null();
+}
+
 /// The one group table of the typed fast paths (row partial, batched
 /// partial, final). A group is keyed by a single int-like key (held as
 /// int64) or string key; null keys share their own group, which is also
@@ -485,13 +587,28 @@ std::vector<DataTypePtr> PartialPackTypes(const ExprVector& groupings,
 /// linear probing. String keys are copied into one byte arena once, when
 /// their group is created; lookups hash and compare the probe key's bytes in
 /// place, so no std::string is built per row.
+///
+/// The table is a budgeted working set: each new group charges the table's
+/// footprint (the capacity of its arrays and arena) to the task's AggSpill.
+/// When the grant is denied, the groups before the new one are boxed once
+/// each, as [key, acc...] partial rows, scattered into the spill buckets,
+/// and the table restarts empty; Drain() then re-aggregates each bucket
+/// with the Final stage's merge fold.
 class FastGroupTable {
  public:
-  FastGroupTable(size_t m, TypeId key_type)
-      : m_(m), key_type_(key_type), slots_(kInitialSlots) {}
+  FastGroupTable(const std::vector<FastAggSpec>& specs, TypeId key_type,
+                 AggSpill& spill)
+      : specs_(specs),
+        m_(specs.size()),
+        key_type_(key_type),
+        spill_(spill),
+        slots_(kInitialSlots) {}
 
   FastAcc* SlotForNull() {
-    if (null_group_ < 0) null_group_ = static_cast<int32_t>(NewGroup(0));
+    if (null_group_ < 0) {
+      null_group_ = static_cast<int32_t>(NewGroup(0));
+      if (!Admit()) return SlotForNull();
+    }
     return Bank(static_cast<uint32_t>(null_group_));
   }
 
@@ -501,7 +618,7 @@ class FastGroupTable {
     if (slot->group != kEmpty) return Bank(slot->group);
     const uint32_t g = Claim(slot, h);
     int_keys_[g] = key;
-    return Bank(g);
+    return Admit() ? Bank(g) : SlotForInt(key);
   }
 
   FastAcc* SlotForString(std::string_view key) {
@@ -509,7 +626,8 @@ class FastGroupTable {
     Slot* slot = Probe(h, [&](uint32_t g) { return StringKey(g) == key; });
     if (slot->group != kEmpty) return Bank(slot->group);
     arena_.append(key);  // before Claim, which records the key's end
-    return Bank(Claim(slot, h));
+    const uint32_t g = Claim(slot, h);
+    return Admit() ? Bank(g) : SlotForString(key);
   }
 
   /// Finds or creates the group of a boxed key (the final stage's input).
@@ -517,6 +635,32 @@ class FastGroupTable {
     if (key.is_null()) return SlotForNull();
     return key_type_ == TypeId::kString ? SlotForString(key.str())
                                         : SlotForInt(key.AsInt64());
+  }
+
+  /// Merges one [key?, acc...] partial row into its group.
+  void MergeRow(const Row& row) {
+    const bool has_key = key_type_ != TypeId::kNull;
+    FastAcc* bank = has_key ? SlotForValue(row.Get(0)) : SlotForNull();
+    const size_t first = has_key ? 1 : 0;
+    for (size_t j = 0; j < m_; ++j) {
+      MergeBoxedAcc(specs_[j], bank[j], row.Get(first + j));
+    }
+  }
+
+  /// Hands every group to `emit` exactly once: this table when it never
+  /// spilled; otherwise the remainder spills too, and `emit` sees the table
+  /// once per bucket, re-aggregated in turn.
+  void Drain(const std::function<void(const FastGroupTable&)>& emit) {
+    if (!spill_.spilled()) {
+      emit(*this);
+      return;
+    }
+    Spill(num_groups());
+    spill_.Drain([this](const Row& row) { MergeRow(row); },
+                 [&] {
+                   emit(*this);
+                   Reset();
+                 });
   }
 
   size_t num_groups() const { return hashes_.size(); }
@@ -529,6 +673,29 @@ class FastGroupTable {
     }
     if (key_type_ == TypeId::kString) return Value(std::string(StringKey(g)));
     return BoxIntLike(int_keys_[g], key_type_);
+  }
+
+  /// Boxes group `g` once, in the partial layout the Final stage merges:
+  /// [key?][acc...].
+  Row PartialRow(size_t g) const {
+    const bool has_key = key_type_ != TypeId::kNull;
+    Row row;
+    row.Reserve((has_key ? 1 : 0) + m_);
+    if (has_key) row.Append(KeyValue(g));
+    for (size_t j = 0; j < m_; ++j) {
+      row.Append(BoxFastAcc(specs_[j], bank(g)[j], /*finished=*/false));
+    }
+    return row;
+  }
+
+  /// Bytes the table holds: its arrays' capacities plus the key arena.
+  int64_t FootprintBytes() const {
+    return static_cast<int64_t>(
+        slots_.capacity() * sizeof(Slot) +
+        hashes_.capacity() * sizeof(uint64_t) +
+        banks_.capacity() * sizeof(FastAcc) +
+        int_keys_.capacity() * sizeof(int64_t) +
+        str_ends_.capacity() * sizeof(size_t) + arena_.capacity());
   }
 
  private:
@@ -574,6 +741,41 @@ class FastGroupTable {
     return g;
   }
 
+  /// Charges the footprint after a new group (the last one) was added.
+  /// False when the grant was denied and the other groups were spilled:
+  /// the table is empty, and the caller inserts its key again. A lone
+  /// group, or a bucket being drained, is admitted over budget.
+  bool Admit() {
+    const int64_t bytes = FootprintBytes();
+    if (bytes <= spill_.reserved() || spill_.Reserve(bytes)) return true;
+    if (spill_.draining() || num_groups() == 1) {
+      spill_.Force(bytes);
+      return true;
+    }
+    Spill(num_groups() - 1);
+    return false;
+  }
+
+  /// Scatters the first `n` groups into the spill buckets and restarts
+  /// empty.
+  void Spill(size_t n) {
+    for (size_t g = 0; g < n; ++g) spill_.Scatter(hashes_[g], PartialRow(g));
+    spill_.EndScatter();
+    Reset();
+  }
+
+  /// Drops every group and frees the arrays.
+  void Reset() {
+    std::vector<Slot>(kInitialSlots).swap(slots_);
+    indexed_ = 0;
+    std::vector<uint64_t>().swap(hashes_);
+    std::vector<FastAcc>().swap(banks_);
+    std::vector<int64_t>().swap(int_keys_);
+    std::string().swap(arena_);
+    std::vector<size_t>().swap(str_ends_);
+    null_group_ = -1;
+  }
+
   void Grow() {
     std::vector<Slot> bigger(slots_.size() * 2);
     const size_t mask = bigger.size() - 1;
@@ -593,8 +795,10 @@ class FastGroupTable {
 
   FastAcc* Bank(uint32_t g) { return &banks_[static_cast<size_t>(g) * m_]; }
 
+  const std::vector<FastAggSpec>& specs_;
   size_t m_;
   TypeId key_type_;
+  AggSpill& spill_;
   std::vector<Slot> slots_;
   size_t indexed_ = 0;           // groups in slots_ (all but the null group)
   std::vector<uint64_t> hashes_;  // per group; rehashing reads them
@@ -605,79 +809,15 @@ class FastGroupTable {
   int32_t null_group_ = -1;
 };
 
-/// Folds one non-null value into a typed accumulator: an argument value in
-/// the partial stages, or, for sums and min/max, whose merge is the same
-/// fold, a partial accumulator in the final stage. `i` carries int-like
-/// values and `f` doubles (Average's argument may be either).
-void FoldNonNull(const FastAggSpec& spec, FastAcc& acc, int64_t i, double f) {
-  switch (spec.kind) {
-    case FastAggSpec::Kind::kCountStar:
-    case FastAggSpec::Kind::kCount:
-      acc.count += 1;
-      break;
-    case FastAggSpec::Kind::kSumI64:
-      acc.i64 += i;
-      acc.has = true;
-      break;
-    case FastAggSpec::Kind::kSumF64:
-      acc.f64 += f;
-      acc.has = true;
-      break;
-    case FastAggSpec::Kind::kAvg:
-      // Average's accumulator sums as double regardless of input.
-      acc.f64 += spec.arg_f64 ? f : static_cast<double>(i);
-      acc.count += 1;
-      break;
-    case FastAggSpec::Kind::kMinMaxI64:
-      if (!acc.has || (spec.is_min ? i < acc.i64 : i > acc.i64)) acc.i64 = i;
-      acc.has = true;
-      break;
-    case FastAggSpec::Kind::kMinMaxF64:
-      if (!acc.has || (spec.is_min ? f < acc.f64 : f > acc.f64)) acc.f64 = f;
-      acc.has = true;
-      break;
-  }
-}
-
-/// Boxes one typed accumulator: as the partial accumulator the generic
-/// Final stage merges (`finished` false), or as the aggregate's result.
-Value BoxFastAcc(const FastAggSpec& spec, const FastAcc& acc, bool finished) {
-  switch (spec.kind) {
-    case FastAggSpec::Kind::kCountStar:
-    case FastAggSpec::Kind::kCount:
-      return Value(acc.count);
-    case FastAggSpec::Kind::kSumI64:
-      return acc.has ? Value(acc.i64) : Value::Null();
-    case FastAggSpec::Kind::kSumF64:
-    case FastAggSpec::Kind::kMinMaxF64:
-      return acc.has ? Value(acc.f64) : Value::Null();
-    case FastAggSpec::Kind::kAvg:
-      if (!finished) return Value::Struct({Value(acc.f64), Value(acc.count)});
-      return acc.count > 0 ? Value(acc.f64 / static_cast<double>(acc.count))
-                           : Value::Null();
-    case FastAggSpec::Kind::kMinMaxI64:
-      return acc.has ? BoxIntLike(acc.i64, spec.box_type) : Value::Null();
-  }
-  return Value::Null();
-}
-
-/// Boxes each group of a partial-stage fast table once, into exactly the
-/// accumulator layout the generic Final stage expects: [key?][acc...].
-void AppendPartialGroupRows(const std::vector<FastAggSpec>& specs,
-                            const FastGroupTable& table, bool has_key,
-                            std::vector<Row>* out) {
-  const size_t m = specs.size();
-  out->reserve(out->size() + table.num_groups());
-  for (size_t g = 0; g < table.num_groups(); ++g) {
-    Row row;
-    row.Reserve((has_key ? 1 : 0) + m);
-    if (has_key) row.Append(table.KeyValue(g));
-    const FastAcc* bank = table.bank(g);
-    for (size_t j = 0; j < m; ++j) {
-      row.Append(BoxFastAcc(specs[j], bank[j], /*finished=*/false));
-    }
-    out->push_back(std::move(row));
-  }
+/// Drains a partial-stage table into the partial row layout, one boxed row
+/// per group.
+std::vector<Row> DrainPartialRows(FastGroupTable& table) {
+  std::vector<Row> rows;
+  table.Drain([&rows](const FastGroupTable& t) {
+    rows.reserve(rows.size() + t.num_groups());
+    for (size_t g = 0; g < t.num_groups(); ++g) rows.push_back(t.PartialRow(g));
+  });
+  return rows;
 }
 
 }  // namespace
@@ -711,7 +851,8 @@ bool HashAggregateExec::TryExecutePartialFast(QueryContext& ctx,
     }
 
     // Without groupings there is exactly one bank, even for no rows.
-    FastGroupTable table(m, key_type);
+    AggSpill spill(ctx, "aggregate.partial");
+    FastGroupTable table(specs, key_type, spill);
     if (!has_key) table.SlotForNull();
 
     size_t cancel_check = 0;
@@ -745,7 +886,7 @@ bool HashAggregateExec::TryExecutePartialFast(QueryContext& ctx,
     }
 
     auto result = std::make_shared<RowPartition>();
-    AppendPartialGroupRows(specs, table, has_key, &result->rows);
+    result->rows = DrainPartialRows(table);
     return result;
   }, "aggregate.partial");
   return true;
@@ -783,7 +924,8 @@ bool HashAggregateExec::TryExecutePartialFastBatched(
         arg_evals[j].emplace(specs[j].compiled->NewVectorEvaluator());
       }
     }
-    FastGroupTable table(m, key_type);
+    AggSpill spill(ctx, "aggregate.partial");
+    FastGroupTable table(specs, key_type, spill);
     if (!has_key) table.SlotForNull();
 
     // Lanes of one evaluated argument column (i64 xor f64, plus nulls).
@@ -849,8 +991,7 @@ bool HashAggregateExec::TryExecutePartialFastBatched(
       }
     }
 
-    std::vector<Row> rows;
-    AppendPartialGroupRows(specs, table, has_key, &rows);
+    const std::vector<Row> rows = DrainPartialRows(table);
     auto result = std::make_shared<BatchPartition>();
     PackRowsIntoBatches(rows, out_types, batch_size, &result->batches);
     return result;
@@ -864,7 +1005,7 @@ BatchDataset HashAggregateExec::ExecuteBatchesImpl(QueryContext& ctx) const {
   BatchDataset input = child_->ExecuteBatches(ctx);
   AttributeVector child_out = child_->Output();
 
-  if (ctx.config().codegen_enabled && !ctx.memory().limited()) {
+  if (ctx.config().codegen_enabled) {
     BatchDataset fast;
     if (TryExecutePartialFastBatched(ctx, input, child_out, &fast)) {
       return fast;
@@ -939,7 +1080,7 @@ RowDataset HashAggregateExec::ExecuteFinal(QueryContext& ctx) const {
 
   bool global = k == 0;
 
-  if (ctx.config().codegen_enabled && !global && !ctx.memory().limited()) {
+  if (ctx.config().codegen_enabled && !global) {
     RowDataset fast;
     if (TryExecuteFinalFast(ctx, input, result_exprs, &fast)) return fast;
   }
@@ -950,22 +1091,7 @@ RowDataset HashAggregateExec::ExecuteFinal(QueryContext& ctx) const {
     size_t cancel_check = 0;
     for (const Row& row : part.rows) {
       ctx.CheckCancelledEvery(&cancel_check);
-      GroupKey key;
-      key.values.reserve(k);
-      for (size_t i = 0; i < k; ++i) key.values.push_back(row.Get(i));
-      bool inserted = false;
-      std::vector<Value>* accs = groups.FindOrInsert(std::move(key), [&] {
-        inserted = true;
-        std::vector<Value> init;
-        init.reserve(m);
-        for (size_t j = 0; j < m; ++j) init.push_back(row.Get(k + j));
-        return init;
-      });
-      if (!inserted) {
-        for (size_t j = 0; j < m; ++j) {
-          agg_functions_[j]->Merge(&(*accs)[j], row.Get(k + j));
-        }
-      }
+      groups.MergeRow(row);
     }
     auto out = std::make_shared<RowPartition>();
     groups.Drain([&](GroupKey key, std::vector<Value> accs) {
@@ -1009,53 +1135,33 @@ bool HashAggregateExec::TryExecuteFinalFast(QueryContext& ctx,
   size_t m = specs.size();
 
   *out = input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
-    FastGroupTable table(m, key_type);
+    AggSpill spill(ctx, "aggregate.final");
+    FastGroupTable table(specs, key_type, spill);
     size_t cancel_check = 0;
     for (const Row& row : part.rows) {
       ctx.CheckCancelledEvery(&cancel_check);
-      FastAcc* bank = table.SlotForValue(row.Get(0));
-      for (size_t j = 0; j < m; ++j) {
-        FastAcc& acc = bank[j];
-        const Value& v = row.Get(1 + j);
-        switch (specs[j].kind) {
-          case FastAggSpec::Kind::kCountStar:
-          case FastAggSpec::Kind::kCount:
-            acc.count += v.i64();
-            break;
-          case FastAggSpec::Kind::kAvg: {
-            const auto& fields = v.struct_data().fields;
-            acc.f64 += fields[0].f64();
-            acc.count += fields[1].i64();
-            break;
-          }
-          case FastAggSpec::Kind::kSumF64:
-          case FastAggSpec::Kind::kMinMaxF64:
-            if (!v.is_null()) FoldNonNull(specs[j], acc, 0, v.f64());
-            break;
-          default:
-            if (!v.is_null()) FoldNonNull(specs[j], acc, v.AsInt64(), 0);
-            break;
-        }
-      }
+      table.MergeRow(row);
     }
 
     // Finish + evaluate the result expressions per group.
     auto result = std::make_shared<RowPartition>();
-    result->rows.reserve(table.num_groups());
     Row base;
-    for (size_t g = 0; g < table.num_groups(); ++g) {
-      base.values().clear();
-      base.Reserve(1 + m);
-      base.Append(table.KeyValue(g));
-      const FastAcc* bank = table.bank(g);
-      for (size_t j = 0; j < m; ++j) {
-        base.Append(BoxFastAcc(specs[j], bank[j], /*finished=*/true));
+    table.Drain([&](const FastGroupTable& t) {
+      result->rows.reserve(result->rows.size() + t.num_groups());
+      for (size_t g = 0; g < t.num_groups(); ++g) {
+        base.values().clear();
+        base.Reserve(1 + m);
+        base.Append(t.KeyValue(g));
+        const FastAcc* bank = t.bank(g);
+        for (size_t j = 0; j < m; ++j) {
+          base.Append(BoxFastAcc(specs[j], bank[j], /*finished=*/true));
+        }
+        Row produced;
+        produced.Reserve(result_exprs.size());
+        for (const auto& e : result_exprs) produced.Append(e->Eval(base));
+        result->rows.push_back(std::move(produced));
       }
-      Row produced;
-      produced.Reserve(result_exprs.size());
-      for (const auto& e : result_exprs) produced.Append(e->Eval(base));
-      result->rows.push_back(std::move(produced));
-    }
+    });
     return result;
   }, "aggregate.final");
   return true;

@@ -485,18 +485,7 @@ RowDataset ShuffleHashJoinExec::ExecuteImpl(QueryContext& ctx) const {
     };
     scatter(right_part.rows, bound_right, /*build_side=*/true);
     scatter(left_part.rows, bound_left, /*build_side=*/false);
-    if (files_created > 0) {
-      ctx.profile().Add(nullptr, ProfileCounter::kSpillFiles,
-                        static_cast<int64_t>(files_created));
-    }
-    if (wrote > 0) {
-      ctx.profile().Add(nullptr, ProfileCounter::kSpillBytes, wrote);
-      ctx.engine()
-          .registry()
-          .Histogram("ssql_spill_write_bytes",
-                     "Bytes written per spill event")
-          .Record(wrote);
-    }
+    ctx.RecordSpill(static_cast<int64_t>(files_created), wrote);
 
     for (auto& bucket : buckets) {
       std::vector<Row> build;

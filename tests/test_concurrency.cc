@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,6 +24,7 @@
 #include "api/sql_context.h"
 #include "engine/exec_context.h"
 #include "engine/query_context.h"
+#include "engine/rdd.h"
 
 namespace ssql {
 namespace {
@@ -153,6 +157,48 @@ TEST(SetConfigTest, RejectedWhileQueriesInFlightAcceptedWhenIdle) {
   query->Finish("ok");
   EXPECT_NO_THROW(engine.SetConfig(next));
   EXPECT_EQ(engine.config().default_parallelism, 2u);
+}
+
+TEST(SetConfigTest, PoolRebuildLeavesARunningRddActionItsPool) {
+  // An RDD action runs on the worker pool outside any query. Hold one open
+  // on a latch and change num_threads: the engine gets a new pool, while
+  // the action keeps the old one until it finishes.
+  ExecContext engine;
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  bool release = false;
+  auto rdd = RDD<int>::Parallelize(engine, {1, 2, 3, 4}, 2)->Map([&](int v) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++started;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+    return v * 10;
+  });
+  std::vector<int> collected;
+  std::thread action([&] { collected = rdd->Collect(); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started > 0; });
+  }
+  ThreadPool* old_pool = &engine.pool();
+
+  EngineConfig next = engine.config();
+  next.num_threads += 1;
+  EXPECT_NO_THROW(engine.SetConfig(next));
+  EXPECT_NE(&engine.pool(), old_pool);
+  EXPECT_EQ(engine.pool().num_threads(), next.num_threads);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  action.join();
+  std::sort(collected.begin(), collected.end());
+  EXPECT_EQ(collected, (std::vector<int>{10, 20, 30, 40}));
+  // The engine keeps working on its new pool.
+  EXPECT_EQ(RDD<int>::Parallelize(engine, {1, 2, 3}, 3)->Count(), 3u);
 }
 
 TEST(SetConfigTest, InvalidTotalMemoryBelowQueryBudgetRejected) {

@@ -16,6 +16,7 @@
 #include "api/sql_context.h"
 #include "engine/exec_context.h"
 #include "engine/memory_manager.h"
+#include "exec/exchange_exec.h"
 #include "exec/join_exec.h"
 #include "exec/scan_exec.h"
 #include "util/spill_file.h"
@@ -295,6 +296,37 @@ TEST_F(SpillQueryTest, SpillingDisabledFailsNamingTheStage) {
   EXPECT_GT(ctx_.Sql("SELECT count(*) FROM t").Collect()[0].GetInt64(0), 0);
 }
 
+TEST_F(SpillQueryTest, GenericGroupMapSpillsAndAgrees) {
+  // Shapes the typed group table does not take — two grouping keys, and a
+  // count(DISTINCT ...) accumulator — run the boxed SpillingGroupMap.
+  CheckSpillingAgrees(
+      "SELECT k, v % 5, count(*), sum(v) FROM t GROUP BY k, v % 5", 64 * 1024);
+  CheckSpillingAgrees("SELECT k, count(DISTINCT v) FROM t GROUP BY k",
+                      64 * 1024);
+}
+
+TEST_F(SpillQueryTest, EngineWideLimitAloneSpillsAndAgrees) {
+  // Only the engine pool is limited; the query has no budget of its own,
+  // yet every grant is carved from the pool, so the sort and the aggregate
+  // must see the limit and spill.
+  for (const std::string sql :
+       {"SELECT k, v FROM t ORDER BY v, k",
+        "SELECT k, sum(v), count(*) FROM t GROUP BY k"}) {
+    auto expected = Canonical(ctx_.Sql(sql).Collect());
+    ctx_.UpdateConfig([](EngineConfig& c) {
+      c.query_memory_limit_bytes = -1;
+      c.total_memory_limit_bytes = 64 * 1024;
+    });
+    ctx_.exec().metrics().Reset();
+    auto actual = Canonical(ctx_.Sql(sql).Collect());
+    ctx_.UpdateConfig([](EngineConfig& c) { c.total_memory_limit_bytes = -1; });
+    EXPECT_EQ(actual, expected) << sql;
+    EXPECT_GT(ctx_.exec().metrics().Get("memory.spill_bytes"), 0) << sql;
+    EXPECT_EQ(ctx_.exec().engine_memory().reserved_bytes(), 0) << sql;
+    EXPECT_EQ(FilesIn(scratch_), 0u) << sql;
+  }
+}
+
 TEST_F(SpillQueryTest, TinyBudgetStillCompletes) {
   // Far below one chunk: every operator falls back to its irreducible
   // working set (ForceGrow) and the query must still finish correctly.
@@ -411,6 +443,172 @@ TEST(GraceJoinTest, AllJoinTypesAgreeWithInMemoryPath) {
     EXPECT_EQ(FilesIn(scratch), 0u) << JoinTypeName(type);
   }
   std::filesystem::remove_all(scratch);
+}
+
+// ---- typed group table under a budget ---------------------------------------
+
+/// A table whose int, string and double columns all carry NULLs, with
+/// `groups` distinct keys per key column; doubles are multiples of 1/4, so
+/// sums are exact in any fold order and results compare as text.
+DataFrame MakeAggTable(SqlContext& ctx, int rows, int groups) {
+  auto schema = StructType::Make({
+      Field("ik", DataType::Int32(), true),
+      Field("sk", DataType::String(), true),
+      Field("l", DataType::Int64(), true),
+      Field("d", DataType::Double(), true),
+  });
+  std::vector<Row> data;
+  data.reserve(rows);
+  for (int i = 0; i < rows; ++i) {
+    data.push_back(Row({
+        i % 97 == 0 ? Value::Null() : Value(static_cast<int32_t>(i % groups)),
+        i % 89 == 0 ? Value::Null()
+                    : Value("s" + std::to_string((i * 7) % groups)),
+        i % 13 == 0 ? Value::Null() : Value(static_cast<int64_t>(i * 3 - 500)),
+        i % 11 == 0 ? Value::Null() : Value((i % 1000) * 0.25),
+    }));
+  }
+  return ctx.CreateDataFrame(schema, std::move(data));
+}
+
+class TypedSpillTest : public ::testing::Test {
+ protected:
+  TypedSpillTest() {
+    scratch_ = UniqueScratchDir("typed");
+    std::filesystem::remove_all(scratch_);
+    ctx_.UpdateConfig([&](EngineConfig& c) {
+      c.spill_dir = scratch_;
+      c.num_threads = 4;
+      c.default_parallelism = 4;
+    });
+  }
+  ~TypedSpillTest() override { std::filesystem::remove_all(scratch_); }
+
+  /// Spill bytes written by the last query's operators named `name`.
+  int64_t OperatorSpillBytes(const std::string& name) {
+    int64_t bytes = 0;
+    for (const auto& op : ctx_.last_profile().OperatorActuals()) {
+      if (op.name == name) bytes += op.spill_bytes;
+    }
+    return bytes;
+  }
+
+  std::string scratch_;
+  SqlContext ctx_;
+};
+
+TEST_F(TypedSpillTest, SpillingAgreesWithUnbudgetedAndGenericRuns) {
+  // 24000 rows, 6000 groups: each partial task sees 6000 distinct keys and
+  // each final task ~1500, so even the 256 KB budget (shared by four
+  // concurrent tasks) makes both stages spill repeatedly.
+  MakeAggTable(ctx_, 24000, 6000).RegisterTempTable("agg");
+  DataFrame cached = MakeAggTable(ctx_, 24000, 6000);
+  cached.RegisterTempTable("agg_cached");
+  cached.Cache();
+  const std::string aggs =
+      "count(*), count(d), sum(l), sum(d), avg(d), avg(l), min(l), max(l), "
+      "min(d), max(d), max(ik)";
+  auto& spill_events = ctx_.exec().registry().Histogram(
+      "ssql_spill_write_bytes", "Bytes written per spill event");
+  for (const std::string table : {"agg", "agg_cached"}) {
+    for (const std::string key : {"ik", "sk"}) {
+      const std::string sql = "SELECT " + key + ", " + aggs + " FROM " +
+                              table + " GROUP BY " + key;
+      auto typed = Canonical(ctx_.Sql(sql).Collect());
+      EXPECT_EQ(OperatorSpillBytes("HashAggregate(Partial)"), 0) << sql;
+      ctx_.UpdateConfig([](EngineConfig& c) { c.codegen_enabled = false; });
+      auto generic = Canonical(ctx_.Sql(sql).Collect());
+      ctx_.UpdateConfig([](EngineConfig& c) { c.codegen_enabled = true; });
+      ASSERT_EQ(typed, generic) << sql;
+      ASSERT_EQ(typed.size(), 6001u) << sql;  // 6000 keys + the NULL group
+
+      for (int64_t budget : {16 * 1024, 64 * 1024, 256 * 1024}) {
+        ctx_.UpdateConfig(
+            [&](EngineConfig& c) { c.query_memory_limit_bytes = budget; });
+        const int64_t events_before = spill_events.count();
+        auto spilled = Canonical(ctx_.Sql(sql).Collect());
+        ctx_.UpdateConfig(
+            [](EngineConfig& c) { c.query_memory_limit_bytes = -1; });
+        EXPECT_EQ(spilled, typed) << sql << " budget " << budget;
+        EXPECT_GT(OperatorSpillBytes("HashAggregate(Partial)"), 0)
+            << sql << " budget " << budget;
+        EXPECT_GT(OperatorSpillBytes("HashAggregate(Final)"), 0)
+            << sql << " budget " << budget;
+        // At least two spills per task of each stage.
+        EXPECT_GE(spill_events.count() - events_before, 16)
+            << sql << " budget " << budget;
+        EXPECT_EQ(FilesIn(scratch_), 0u) << sql << " budget " << budget;
+        EXPECT_EQ(ctx_.exec().engine_memory().reserved_bytes(), 0);
+      }
+    }
+  }
+}
+
+TEST_F(TypedSpillTest, ChargesAtLeastTheTableArrays) {
+  // One partition, so one partial and one final table hold all n groups.
+  // Each group occupies at least a hash (8 bytes), a key (8), five 25-byte
+  // accumulators, and two 8-byte index slots (the index stays at most half
+  // full); an unbudgeted query still charges all of it. The accumulators
+  // are most of it, so a footprint that left them out would fall short
+  // even after the index and key arrays' power-of-two rounding.
+  ctx_.UpdateConfig([](EngineConfig& c) { c.default_parallelism = 1; });
+  constexpr int kGroups = 5000;
+  MakeAggTable(ctx_, 2 * kGroups, kGroups).RegisterTempTable("agg");
+  ctx_.exec().metrics().Reset();
+  const std::string sql =
+      "SELECT ik, count(*), count(l), sum(l), min(l), max(l) FROM agg "
+      "GROUP BY ik";
+  auto rows = ctx_.Sql(sql).Collect();
+  EXPECT_EQ(rows.size(), static_cast<size_t>(kGroups + 1));
+  EXPECT_GE(ctx_.exec().metrics().Get("memory.peak_reserved_bytes"),
+            int64_t{kGroups} * (8 + 8 + 5 * 25 + 2 * 8));
+  EXPECT_EQ(ctx_.exec().metrics().Get("memory.spill_bytes"), 0);
+}
+
+TEST_F(TypedSpillTest, SpillingDisabledNamesEachStage) {
+  // One worker (plus the query thread, which helps drain the stage) and
+  // keys that all hash to final partition 0: each of the 8 partial tasks
+  // holds 500 of the 4000 groups (under 64 KB with its reservation's chunk
+  // slack), the single busy final task all of them (256 KB once past 2048
+  // groups), so a budget between the two fails the final stage only.
+  ctx_.UpdateConfig([](EngineConfig& c) {
+    c.num_threads = 1;
+    c.default_parallelism = 8;
+  });
+  const ExprVector shuffle_key = {
+      BoundReference::Make(0, DataType::Int32(), true)};
+  auto schema = StructType::Make({Field("k", DataType::Int32(), true)});
+  std::vector<Row> data;
+  for (int32_t k = 0; data.size() < 4000; ++k) {
+    Row row({Value(k)});
+    if (HashRowKeys(row, shuffle_key) % 8 == 0) data.push_back(std::move(row));
+  }
+  ctx_.CreateDataFrame(schema, std::move(data)).RegisterTempTable("skewed");
+  const std::string sql = "SELECT k, count(*) FROM skewed GROUP BY k";
+  ASSERT_EQ(ctx_.Sql(sql).Collect().size(), 4000u);
+
+  auto fails_in = [&](int64_t budget, const std::string& stage) {
+    ctx_.UpdateConfig([&](EngineConfig& c) {
+      c.query_memory_limit_bytes = budget;
+      c.spill_enabled = false;
+    });
+    try {
+      ctx_.Sql(sql).Collect();
+      ADD_FAILURE() << "expected ExecutionError under budget " << budget;
+    } catch (const ExecutionError& e) {
+      std::string what = e.what();
+      EXPECT_NE(what.find("stage '" + stage + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("partition"), std::string::npos) << what;
+      EXPECT_NE(what.find("query memory limit"), std::string::npos) << what;
+    }
+    ctx_.UpdateConfig([](EngineConfig& c) {
+      c.query_memory_limit_bytes = -1;
+      c.spill_enabled = true;
+    });
+    EXPECT_EQ(FilesIn(scratch_), 0u);
+  };
+  fails_in(16 * 1024, "aggregate.partial");
+  fails_in(192 * 1024, "aggregate.final");
 }
 
 // ---- spill x fault tolerance -----------------------------------------------
